@@ -12,7 +12,11 @@ Clearinghouse::Clearinghouse(net::RpcNode& rpc, net::TimerService& timers,
                              ClearinghouseConfig config)
     : rpc_(rpc), timers_(timers), config_(config) {}
 
-Clearinghouse::~Clearinghouse() { stop(); }
+Clearinghouse::~Clearinghouse() {
+  stop();
+  // Pending calls complete into this object: fail them while it is alive.
+  rpc_.shutdown();
+}
 
 void Clearinghouse::install_primary_handlers() {
   rpc_.serve(proto::kRpcRegister, [this](net::NodeId src, const Bytes& args) {

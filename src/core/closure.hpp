@@ -291,6 +291,11 @@ struct Closure {
   std::uint32_t wait_slot = 0;  // WaitingTable bucket index; maintained by
                                 // the table, meaningless elsewhere, never
                                 // encoded
+  /// Installed on this worker by a steal (WorkerCore::install_stolen), so a
+  /// death of cont.home aborts it while it is still queued.  In-memory only,
+  /// never encoded; recycle() and WorkerCore::adopt() clear it.  Sits in
+  /// the tail padding, so it adds nothing to sizeof(Closure).
+  bool stolen = false;
 
   /// wait_slot sentinel: a waiting closure created in pooled mode that has
   /// not (yet) been inserted into the WaitingTable.  Local sends reach it
@@ -318,12 +323,16 @@ struct Closure {
     return true;
   }
 
-  /// Invalidate for pool reuse.  Only the id must be cleared here: a stale
-  /// valid id would defeat lazy re-materialization on the next life.  Every
-  /// other field — task, cont, args, missing, depth — is overwritten by
-  /// whichever acquire path revives the closure (spawn, create_waiting,
-  /// adopt), and args clears its old values itself on reset/assign/move.
-  void recycle() { id = ClosureId{}; }
+  /// Invalidate for pool reuse.  The id must be cleared here: a stale valid
+  /// id would defeat lazy re-materialization on the next life.  So must the
+  /// stolen flag, which no spawn path writes.  Every other field — task,
+  /// cont, args, missing, depth — is overwritten by whichever acquire path
+  /// revives the closure (spawn, create_waiting, adopt), and args clears its
+  /// old values itself on reset/assign/move.
+  void recycle() {
+    id = ClosureId{};
+    stolen = false;
+  }
 
   /// Wire encoding: everything needed to execute the closure elsewhere
   /// (steals, migration, and the steal ledger's redo snapshots).

@@ -2,21 +2,6 @@
 
 namespace phish {
 
-Closure* ReadyDeque::remove(const ClosureId& id) noexcept {
-  for (std::size_t i = 0; i < count_; ++i) {
-    Closure* c = at(i);
-    if (c->id != id) continue;
-    // Close the gap toward the head (removal is rare: fault recovery only).
-    for (std::size_t j = i; j > 0; --j) {
-      buf_[(head_ + j) & mask_()] = buf_[(head_ + j - 1) & mask_()];
-    }
-    head_ = (head_ + 1) & mask_();
-    --count_;
-    return c;
-  }
-  return nullptr;
-}
-
 void ReadyDeque::grow_() {
   std::vector<Closure*> bigger(buf_.size() * 2);
   for (std::size_t i = 0; i < count_; ++i) bigger[i] = at(i);

@@ -89,10 +89,6 @@ class ReadyDeque {
     return out;
   }
 
-  /// Remove a queued closure by id (fault recovery aborts orphaned steals).
-  /// Returns the removed closure so the caller can release it to its pool.
-  Closure* remove(const ClosureId& id) noexcept;
-
   /// Inspect without removing: element `i`, head-relative (0 == next LIFO
   /// execution victim).  Used by checkpoint export and tests.
   const Closure* at(std::size_t i) const noexcept {

@@ -40,24 +40,6 @@ std::vector<Closure*> WorkerCore::drain_ready_() {
   return out;
 }
 
-Closure* WorkerCore::remove_ready_(const ClosureId& id) {
-  if (!lockfree_) return deque_.remove(id);
-  // Rare path (fault recovery), externally synchronized: pop everything,
-  // filter, re-push in reverse so the head stays the head.
-  std::vector<Closure*> kept = drain_ready_();
-  Closure* removed = nullptr;
-  for (Closure*& c : kept) {
-    if (removed == nullptr && c->id.valid() && c->id == id) {
-      removed = c;
-      c = nullptr;
-    }
-  }
-  for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
-    if (*it != nullptr) deque_push_(*it);
-  }
-  return removed;
-}
-
 void WorkerCore::local_send_unknown_(const ClosureId& target) {
   ++stats_.args_unknown_closure;
   // On a worker that never redid work, a local send to an unknown closure
@@ -181,10 +163,9 @@ void WorkerCore::install_stolen(Closure closure) {
   // band, which is globally unique.  Synchronized steals always arrive
   // named (the victim materialized), so this is a no-op for them.
   materialize(c);
-  // Track where this task's result is claimed, so the task can be aborted if
-  // that participant dies before we run it.
-  stolen_in_.emplace(c->id, c->cont.home);
-  refresh_exec_slow_path_();
+  // Its result is claimed at cont.home: if that participant dies while the
+  // task is still queued here, handle_participant_death aborts it.
+  c->stolen = true;
   push_ready_(c);
   if (tracing()) {
     trace_instant(obs::EventType::kStealSuccess, c->id, ready_count());
@@ -321,23 +302,23 @@ std::size_t WorkerCore::handle_participant_death(net::NodeId dead) {
       ++it;
     }
   }
-  // 2. Abort orphans: tasks we stole whose results would go to closures on
-  //    the dead participant.  Still-queued ones are removed; running or
-  //    completed ones are harmless (their sends dead-letter).  Demote again:
-  //    step 1's pushes may have refilled the register.
+  // 2. Abort orphans: queued tasks we stole whose results would go to
+  //    closures on the dead participant.  Running or completed ones are
+  //    harmless (their sends dead-letter).  One filtered pass: drain the
+  //    list head first, re-push the survivors tail first so they keep their
+  //    order.  Demote again: step 1's pushes may have refilled the register.
+  //    Lockfree callers are externally synchronized with thieves.
   demote_next_();
-  for (auto it = stolen_in_.begin(); it != stolen_in_.end();) {
-    if (it->second == dead) {
-      if (Closure* removed = remove_ready_(it->first)) {
-        stats_.note_free();
-        pool_.release(removed);
-      }
-      it = stolen_in_.erase(it);
+  std::vector<Closure*> queued = drain_ready_();
+  for (auto it = queued.rbegin(); it != queued.rend(); ++it) {
+    Closure* c = *it;
+    if (c->stolen && c->cont.home == dead) {
+      stats_.note_free();
+      pool_.release(c);
     } else {
-      ++it;
+      deque_push_(c);
     }
   }
-  refresh_exec_slow_path_();
   return redone;
 }
 
@@ -396,13 +377,7 @@ void WorkerCore::import_state(const Bytes& state) {
   }
 }
 
-void WorkerCore::execute_slow_(Closure& closure, const TaskEntry& entry) {
-  if (!stolen_in_.empty()) {
-    if (closure.id.valid()) {
-      stolen_in_.erase(closure.id);  // past the point where aborting helps
-    }
-    refresh_exec_slow_path_();
-  }
+void WorkerCore::execute_traced_(Closure& closure, const TaskEntry& entry) {
   const bool span = tracing() && trace_execute_spans_;
   const std::uint64_t t_start = span ? trace_now() : 0;
   Context ctx(*this, closure);

@@ -4,6 +4,8 @@
 // the ready-task list (LIFO execution / FIFO steals), the table of waiting
 // closures (tasks whose synchronization requirements are not yet met), the
 // steal ledger used for fault-tolerant redo, and the Table-2 statistics.
+// Fault-tolerance bookkeeping is paid per steal (the victim's ledger entry,
+// the thief's Closure::stolen flag) or per death, never per execute.
 //
 // WorkerCore is deliberately runtime-agnostic: it never blocks, never sleeps,
 // and touches the outside world only through Hooks.  The threads runtime
@@ -210,7 +212,8 @@ class WorkerCore {
   std::vector<Closure> try_steal_batch(net::NodeId thief,
                                        std::uint32_t max_tasks);
 
-  /// Thief side of a steal: install a stolen closure for execution.
+  /// Thief side of a steal: install a stolen closure for execution, marked
+  /// Closure::stolen so a death of its cont.home aborts it while queued.
   void install_stolen(Closure closure);
 
   // ---- Lock-free concurrent steal protocol (lockfree_deque mode). ----
@@ -294,8 +297,8 @@ class WorkerCore {
   }
 
   /// A participant died: re-enqueue snapshots of every task it stole from us
-  /// (redo), and abort tasks we stole from it that are still queued (their
-  /// results could never be claimed).  Returns number of tasks re-enqueued.
+  /// (redo), and abort queued tasks we stole whose results go to it (they
+  /// could never be claimed).  Returns number of tasks re-enqueued.
   std::size_t handle_participant_death(net::NodeId dead);
 
   /// Forget ledger entries whose redo window has passed (job completed).
@@ -314,8 +317,6 @@ class WorkerCore {
     waiting_.for_each([this](Closure* c) { pool_.release(c); });
     waiting_.clear();
     steal_ledger_.clear();
-    stolen_in_.clear();
-    refresh_exec_slow_path_();
     last_charge_ = 0;
   }
 
@@ -384,7 +385,7 @@ class WorkerCore {
     trace_ = (shard != nullptr && clock != nullptr) ? shard : nullptr;
     trace_clock_ = clock;
     trace_execute_spans_ = emit_execute_spans;
-    refresh_exec_slow_path_();
+    exec_traced_ = tracing() && trace_execute_spans_;
   }
   obs::TraceShard* trace_shard() const noexcept { return trace_; }
   const obs::Clock* trace_clock() const noexcept { return trace_clock_; }
@@ -409,17 +410,9 @@ class WorkerCore {
   /// whose target closure does not exist on this worker.
   void local_send_unknown_(const ClosureId& target);
 
-  /// Out-of-line slow variant of execute(): identical semantics plus the
-  /// stolen-task abort bookkeeping and the kExecute span, kept out of the
-  /// inlined hot body.
-  void execute_slow_(Closure& closure, const TaskEntry& entry);
-
-  /// execute() tests one cached byte instead of the tracer fields and the
-  /// stolen_in_ map; every mutation of either re-derives it (all cold).
-  void refresh_exec_slow_path_() {
-    exec_slow_path_ =
-        !stolen_in_.empty() || (tracing() && trace_execute_spans_);
-  }
+  /// Out-of-line traced variant of execute(): identical semantics plus the
+  /// kExecute span, kept out of the inlined hot body.
+  void execute_traced_(Closure& closure, const TaskEntry& entry);
 
   /// Shared tail of local/remote argument delivery: idempotent fill, trace,
   /// and promotion to the ready list when the last argument arrives.
@@ -502,7 +495,7 @@ class WorkerCore {
 
   /// Move the fused register occupant to the real deque head.  Called
   /// before any operation that must see the full ready list (synchronized
-  /// steals, migration, snapshots, orphan removal).
+  /// steals, migration, snapshots, orphan aborts).
   void demote_next_() {
     if (next_task_ != nullptr) {
       deque_push_(next_task_);
@@ -514,19 +507,18 @@ class WorkerCore {
   /// Lockfree callers are externally synchronized with thieves.
   std::vector<Closure*> drain_ready_();
 
-  /// Remove a queued closure by id (register must already be demoted).
-  Closure* remove_ready_(const ClosureId& id);
-
   /// Non-destructive head-first snapshot (register must already be
   /// demoted; lockfree callers externally synchronized).
   Closure* ready_at_(std::size_t i) {
     return lockfree_ ? lockfree_->peek_from_bottom(i) : deque_.at(i);
   }
 
-  /// Take ownership of a wire closure into the pool.
+  /// Take ownership of a wire closure into the pool.  It arrives unflagged:
+  /// only install_stolen marks a closure as stolen here.
   Closure* adopt(Closure&& value) {
     Closure* c = pool_.acquire();
     *c = std::move(value);
+    c->stolen = false;
     return c;
   }
 
@@ -572,9 +564,9 @@ class WorkerCore {
   obs::TraceShard* trace_ = nullptr;
   const obs::Clock* trace_clock_ = nullptr;
   bool trace_execute_spans_ = true;
-  // Cached `!stolen_in_.empty() || execute-span tracing` so the execute()
-  // hot body tests one byte; see refresh_exec_slow_path_().
-  bool exec_slow_path_ = false;
+  // Cached `tracing() && trace_execute_spans_`, set by set_trace, so the
+  // execute() hot body tests one byte.
+  bool exec_traced_ = false;
 
   struct LedgerEntry {
     Closure snapshot;     // full copy: enough to redo the task
@@ -582,8 +574,6 @@ class WorkerCore {
   };
   // Keyed by the stolen closure's id.
   std::unordered_map<ClosureId, LedgerEntry> steal_ledger_;
-  // Tasks I stole, by origin ledger: thief-side record for aborting orphans.
-  std::unordered_map<ClosureId, net::NodeId> stolen_in_;
 
   // ---- Concurrent-steal victim-side state (lockfree mode only). ----
   // Thieves write these from their own threads; the owner folds/reclaims
@@ -852,17 +842,16 @@ class Context {
 inline void WorkerCore::execute(Closure& closure) {
   // Devirtualized dispatch: one indexed load from the registry's flat entry
   // array (bounds check doubles as wire validation) and one indirect call.
-  // The rare companions — abort bookkeeping for stolen tasks and the traced
-  // variant — are branch-hinted cold and (for tracing) outlined so the
-  // inlined hot body stays a handful of instructions; the extra branches
-  // were worth ~3 ns/closure on fine-grain fib.
+  // The one rare companion, the traced variant, is branch-hinted cold and
+  // outlined so the inlined hot body stays a handful of instructions; the
+  // extra branches were worth ~3 ns/closure on fine-grain fib.
   if (__builtin_expect(closure.task >= task_limit_, 0)) {
     (void)registry_.entry(closure.task);  // throws std::out_of_range
   }
   const TaskEntry& entry = task_entries_[closure.task];
   last_charge_ = 0;
-  if (__builtin_expect(exec_slow_path_, 0)) {
-    execute_slow_(closure, entry);
+  if (__builtin_expect(exec_traced_, 0)) {
+    execute_traced_(closure, entry);
     return;
   }
   Context ctx(*this, closure);

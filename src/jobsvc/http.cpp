@@ -152,9 +152,11 @@ void HttpServer::serve() {
         ++stats_.connections;
       }
     }
-    // Service connections.
+    // Service the connections that were polled: fds[2..] matches the front
+    // of conns.  Ones accepted above sit at the back with no pollfd yet;
+    // the next round polls them.
     std::size_t i = 2;
-    for (auto it = conns.begin(); it != conns.end(); ++i) {
+    for (auto it = conns.begin(); i < fds.size(); ++i) {
       Connection& c = *it;
       const short revents = fds[i].revents;
       bool drop = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&

@@ -20,9 +20,14 @@ RpcNode::RpcNode(Channel& channel, TimerService& timers,
 
 RpcNode::~RpcNode() {
   channel_.set_receiver({});
+  shutdown();
+}
+
+void RpcNode::shutdown() {
   std::vector<PendingCall> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
     for (auto& [id, call] : pending_) {
       timers_.cancel(call.timer);
       orphans.push_back(std::move(call));
@@ -41,7 +46,12 @@ void RpcNode::serve(std::uint16_t method, MethodHandler handler) {
 
 void RpcNode::call(NodeId dst, std::uint16_t method, Bytes args,
                    Completion on_done, RetryPolicy policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (stopped_) {
+    lock.unlock();
+    if (on_done) on_done(RpcResult{false, {}});
+    return;
+  }
   const std::uint64_t request_id = next_request_id_++;
   PendingCall call;
   call.dst = dst;
@@ -129,7 +139,7 @@ std::uint64_t RpcNode::jitter_locked(std::uint64_t base_ns, double fraction,
 void RpcNode::on_message(Message&& message) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (paused_) return;  // a "killed" node hears nothing
+    if (paused_ || stopped_) return;  // a "killed" node hears nothing
   }
   trace_message(obs::EventType::kRpcRecv, message.type);
   switch (message.type) {

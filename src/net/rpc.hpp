@@ -97,7 +97,7 @@ class RpcNode {
   void serve(std::uint16_t method, MethodHandler handler);
 
   /// Asynchronous call.  `on_done` fires exactly once, possibly on a
-  /// transport or timer thread.
+  /// transport or timer thread (or at once, on a node already shut down).
   void call(NodeId dst, std::uint16_t method, Bytes args, Completion on_done,
             RetryPolicy policy = {});
 
@@ -119,6 +119,13 @@ class RpcNode {
   /// tearing down the object.
   void set_paused(bool paused);
   bool paused() const;
+
+  /// Fail every pending call and stop for good: from then on call() fails
+  /// at once with no transmit and no timer (a completion that retries on
+  /// failure cannot re-arm), and inbound frames are dropped.  An owner whose
+  /// completions touch its own members calls this before they are destroyed;
+  /// the destructor calls it too.
+  void shutdown();
 
   /// Smoothed RTT state toward `peer` (valid=false until the first sample).
   RttEstimate rtt_estimate(NodeId peer) const;
@@ -186,6 +193,7 @@ class RpcNode {
   std::unordered_map<NodeId, RttEstimate> rtt_;
   std::uint64_t jitter_seed_ = 0;
   bool paused_ = false;
+  bool stopped_ = false;  // shutdown() ran
   RpcStats stats_;
 };
 

@@ -119,6 +119,10 @@ class SimWorker {
             ExecOrder exec_order = ExecOrder::kLifo,
             StealOrder steal_order = StealOrder::kFifo);
 
+  /// Fails the RPCs still pending while client_ and the worker's fields
+  /// are alive: ~RpcNode would complete them only after both are destroyed.
+  ~SimWorker() { rpc_.shutdown(); }
+
   SimWorker(const SimWorker&) = delete;
   SimWorker& operator=(const SimWorker&) = delete;
 

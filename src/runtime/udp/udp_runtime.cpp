@@ -104,6 +104,10 @@ UdpWorker::UdpWorker(net::UdpNetwork& network, net::TimerService& timers,
 UdpWorker::~UdpWorker() {
   request_stop();
   join();
+  // Calls can still be pending (membership refreshes, the unregister).  Fail
+  // them now: their completions use client_ and this worker's fields, and
+  // ~RpcNode would run them only after those are destroyed.
+  rpc_.shutdown();
 }
 
 void UdpWorker::set_root(TaskId task, std::vector<Value> args) {

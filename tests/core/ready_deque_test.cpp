@@ -122,18 +122,6 @@ TEST_F(ReadyDequeTest, DrainReturnsEverythingHeadFirst) {
   EXPECT_TRUE(d.empty());
 }
 
-TEST_F(ReadyDequeTest, RemoveByIdReturnsTheClosure) {
-  ReadyDeque d;
-  for (std::uint64_t i = 1; i <= 3; ++i) d.push(make_task(i));
-  Closure* removed = d.remove(ClosureId{net::NodeId{0}, 2});
-  ASSERT_NE(removed, nullptr);
-  EXPECT_EQ(removed->id.seq, 2u);
-  EXPECT_EQ(d.remove(ClosureId{net::NodeId{0}, 2}), nullptr);
-  EXPECT_EQ(d.size(), 2u);
-  EXPECT_EQ(seq_of(d.pop_for_execution()), 3u);
-  EXPECT_EQ(seq_of(d.pop_for_execution()), 1u);
-}
-
 TEST_F(ReadyDequeTest, AtInspectsHeadRelative) {
   ReadyDeque d;
   for (std::uint64_t i = 1; i <= 3; ++i) d.push(make_task(i));

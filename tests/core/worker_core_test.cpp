@@ -267,6 +267,108 @@ TEST_F(WorkerCoreTest, DeathRecoveryAbortsOrphanedStolenTasks) {
   EXPECT_EQ(core_->ready_count(), 0u) << "orphaned task aborted";
 }
 
+/// A ready leaf closure named by `origin`, whose result goes to a join on
+/// node `home`.
+Closure ready_leaf(TaskId leaf, std::int64_t arg, std::uint32_t home,
+                   std::uint64_t seq, std::uint32_t origin = 2) {
+  Closure c;
+  c.id = ClosureId{net::NodeId{origin}, seq};
+  c.task = leaf;
+  c.cont = ContRef{ClosureId{net::NodeId{home}, 1}, 0, net::NodeId{home}};
+  c.args = {Value(arg)};
+  return c;
+}
+
+/// Pop (without executing) everything queued; the leaves' arguments, in
+/// execution order.
+std::vector<std::int64_t> pop_args(WorkerCore& core) {
+  std::vector<std::int64_t> out;
+  while (auto c = core.pop_for_execution()) out.push_back(c->args[0].as_int());
+  return out;
+}
+
+CoreOptions options_with_deque(bool lockfree) {
+  CoreOptions opts;
+  opts.lockfree_deque = lockfree;
+  return opts;
+}
+
+TEST_F(WorkerCoreTest, DeathAbortsReStolenCopyAtItsHolderOnly) {
+  // V (node 3) -> A (node 4) -> B (node 5): A steals X from V, then B
+  // re-steals X from A with a concurrent steal, so X never runs on A.  When
+  // V (X's cont.home) dies, B's queued copy is aborted and A loses nothing.
+  const net::NodeId v{3};
+  WorkerCore a(net::NodeId{4}, registry_, make_hooks(),
+               options_with_deque(/*lockfree=*/true));
+  WorkerCore b(net::NodeId{5}, registry_, make_hooks());
+  a.install_stolen(ready_leaf(leaf_id_, 1, v.value, 10, v.value));
+  // A's own child, also homed on V: not stolen, so never aborted.  Spawning
+  // it also moves X out of the fused register into the stealable deque.
+  a.spawn(leaf_id_, {Value(std::int64_t{2})},
+          ContRef{ClosureId{v, 1}, 0, v}, 1);
+  std::vector<Closure> taken;
+  ASSERT_EQ(a.steal_concurrent(taken, 8), 1u);
+  a.reclaim_stolen_slots();
+  ASSERT_EQ(taken[0].args[0].as_int(), 1);
+  b.install_stolen(std::move(taken[0]));
+  b.spawn(leaf_id_, {Value(std::int64_t{3})},
+          ContRef{ClosureId{v, 1}, 0, v}, 1);
+
+  EXPECT_EQ(a.handle_participant_death(v), 0u);
+  EXPECT_EQ(b.handle_participant_death(v), 0u);
+  EXPECT_EQ(b.stats().tasks_in_use, 1u) << "the aborted copy is freed";
+  EXPECT_EQ(pop_args(a), (std::vector<std::int64_t>{2}));
+  EXPECT_EQ(pop_args(b), (std::vector<std::int64_t>{3}))
+      << "B's stolen copy of X is aborted, its own child kept";
+}
+
+TEST_F(WorkerCoreTest, DeathSparesMigratedInClosure) {
+  // A closure that was stolen on its previous holder and then migrated here
+  // is not "installed by a steal" on this worker: a death of its cont.home
+  // leaves it queued.
+  WorkerCore previous(net::NodeId{4}, registry_, make_hooks());
+  previous.install_stolen(ready_leaf(leaf_id_, 7, /*home=*/9, 10));
+  std::vector<Closure> cargo = previous.drain_for_migration();
+  ASSERT_EQ(cargo.size(), 1u);
+  core_->install_migrated(std::move(cargo[0]));
+
+  core_->handle_participant_death(net::NodeId{9});
+  EXPECT_EQ(pop_args(*core_), (std::vector<std::int64_t>{7}));
+}
+
+TEST_F(WorkerCoreTest, DeathAbortKeepsSurvivorOrderOnBothDeques) {
+  for (const bool lockfree : {false, true}) {
+    SCOPED_TRACE(lockfree ? "Chase-Lev deque" : "guarded ring");
+    WorkerCore core(net::NodeId{0}, registry_, make_hooks(),
+                    options_with_deque(lockfree));
+    const ContRef home9{ClosureId{net::NodeId{9}, 1}, 0, net::NodeId{9}};
+    const ContRef home8{ClosureId{net::NodeId{8}, 1}, 0, net::NodeId{8}};
+    core.install_stolen(ready_leaf(leaf_id_, 1, 9, 10));
+    core.spawn(leaf_id_, {Value(std::int64_t{2})}, home9, 1);
+    core.install_stolen(ready_leaf(leaf_id_, 3, 8, 11));
+    core.install_stolen(ready_leaf(leaf_id_, 4, 9, 12));
+    core.spawn(leaf_id_, {Value(std::int64_t{5})}, home8, 1);
+    core.install_stolen(ready_leaf(leaf_id_, 6, 9, 13));
+
+    EXPECT_EQ(core.handle_participant_death(net::NodeId{9}), 0u);
+    EXPECT_EQ(core.ready_count(), 3u);
+    EXPECT_EQ(pop_args(core), (std::vector<std::int64_t>{5, 3, 2}))
+        << "stolen tasks homed on 9 aborted, the rest in LIFO order";
+  }
+}
+
+TEST_F(WorkerCoreTest, RejoinLeavesNoStolenFlagBehind) {
+  core_->install_stolen(ready_leaf(leaf_id_, 1, /*home=*/9, 10));
+  core_->reset_for_rejoin();
+  EXPECT_EQ(core_->ready_count(), 0u);
+  // The new life's first spawn reuses the released pool slot; it is a local
+  // child, not a steal, so the death of its cont.home must not abort it.
+  core_->spawn(leaf_id_, {Value(std::int64_t{2})},
+               ContRef{ClosureId{net::NodeId{9}, 1}, 0, net::NodeId{9}}, 0);
+  core_->handle_participant_death(net::NodeId{9});
+  EXPECT_EQ(pop_args(*core_), (std::vector<std::int64_t>{2}));
+}
+
 TEST_F(WorkerCoreTest, RedoneTaskResultIsIdempotentDownstream) {
   // Victim's join receives the result twice (once from the original thief's
   // pre-crash execution, once from the redo): the second is dropped.

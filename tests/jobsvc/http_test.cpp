@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "apps/fib/fib.hpp"
 #include "core/worker_core.hpp"
@@ -312,6 +315,62 @@ TEST_F(JobdHttpTest, MalformedRequestLineGets400) {
   ::close(fd);
   EXPECT_NE(raw.find("400"), std::string::npos) << raw;
   EXPECT_GE(server_->stats().bad_requests, 1u);
+}
+
+TEST(HttpServerPoll, AnswersEveryConnectionAcceptedInOneRound) {
+  // Handlers run on the server thread, so a held request keeps the server
+  // away from poll() while more connections queue in the listen backlog.
+  // The next round accepts them all at once, before any has a pollfd; every
+  // one must still be answered.
+  std::mutex m;
+  std::condition_variable cv;
+  bool held = false, released = false;
+  HttpServer server(HttpServerConfig{}, [&](const HttpRequest& req) {
+    if (req.path == "/hold") {
+      std::unique_lock<std::mutex> lock(m);
+      held = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+    return HttpResponse::json(200, "{\"path\":\"" + req.path + "\"}");
+  });
+  server.start();
+  const auto get = [](const std::string& path) {
+    return "GET " + path +
+           " HTTP/1.1\r\nhost: x\r\nconnection: close\r\n"
+           "content-length: 0\r\n\r\n";
+  };
+  const int hold = connect_to(server.port());
+  ASSERT_GE(hold, 0);
+  send_all(hold, get("/hold"));
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return held; });
+  }
+  constexpr int kConns = 8;
+  std::vector<int> fds;
+  for (int k = 0; k < kConns; ++k) {
+    fds.push_back(connect_to(server.port()));
+    ASSERT_GE(fds.back(), 0);
+    send_all(fds.back(), get("/c" + std::to_string(k)));
+  }
+  {
+    std::lock_guard<std::mutex> lock(m);
+    released = true;
+  }
+  cv.notify_all();
+  const std::string first = recv_until_eof(hold);
+  ::close(hold);
+  EXPECT_NE(first.find("{\"path\":\"/hold\"}"), std::string::npos) << first;
+  for (int k = 0; k < kConns; ++k) {
+    const std::string raw = recv_until_eof(fds[k]);
+    ::close(fds[k]);
+    EXPECT_NE(raw.find("{\"path\":\"/c" + std::to_string(k) + "\"}"),
+              std::string::npos)
+        << "connection " << k << " got: " << raw;
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().connections, static_cast<std::uint64_t>(kConns + 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -227,6 +227,23 @@ TEST_F(RpcLoopTest, DestructionFailsPendingCalls) {
   EXPECT_FALSE(ok);
 }
 
+TEST_F(RpcLoopTest, ShutdownFailsPendingCallsAndRetriesDoNotRearm) {
+  // A completion that retries on failure (as ClearinghouseClient does) must
+  // not leave a call, a transmit or a timer behind on a stopped node.
+  int failures = 0;
+  std::function<void(RpcResult)> retry = [&](RpcResult r) {
+    EXPECT_FALSE(r.ok);
+    if (++failures < 3) client_.call(NodeId{5}, 9, {}, retry);
+  };
+  client_.call(NodeId{5}, 9, {}, retry);  // nobody at node 5 answers
+  const auto sent_before = client_node_.stats().messages_sent;
+  client_.shutdown();
+  EXPECT_EQ(failures, 3) << "the pending call and both retries failed";
+  EXPECT_EQ(client_.stats().calls_started, 1u);
+  EXPECT_EQ(client_node_.stats().messages_sent, sent_before);
+  EXPECT_EQ(sim_.pending(), 0u) << "no retransmit timer left armed";
+}
+
 TEST_F(RpcLoopTest, KarnRuleIgnoresRetransmittedSamples) {
   server_.serve(1, [](NodeId, const Bytes&) { return Bytes{}; });
   std::optional<RpcResult> result;

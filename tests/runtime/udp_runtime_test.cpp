@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "apps/apps.hpp"
 
 namespace phish::rt {
@@ -119,6 +123,43 @@ TEST(UdpRuntime, SequentialJobsReuseNothing) {
     EXPECT_EQ(job.run(root, {Value(std::int64_t{18})}).value.as_int(),
               apps::fib_serial(18));
   }
+}
+
+TEST(UdpWorkerTeardown, DestroyWhileCallsToHaltedClearinghousePend) {
+  // A lone worker has no peers, so its loop keeps asking the Clearinghouse
+  // for membership updates.  Once the Clearinghouse halts, those calls (and
+  // the final unregister) stay pending under a long retry timeout.
+  // Destroying the worker must complete them while its client and fields are
+  // still alive; the failure mode is a use-after-free that ASan reports.
+  TaskRegistry reg;
+  apps::register_fib(reg, /*sequential_cutoff=*/10);
+  UdpJobConfig cfg = config_for(1);
+  cfg.rpc_policy.timeout_ns = 30'000'000'000;  // outlasts the test
+  cfg.rpc_policy.adaptive = false;
+  net::UdpNetwork network(cfg.net);
+  net::ThreadTimerService timers;
+  const net::NodeId ch_node{0};
+  net::RpcNode ch_rpc(network.channel(ch_node), timers);
+  Clearinghouse clearinghouse(ch_rpc, timers, cfg.clearinghouse);
+  clearinghouse.start();
+  auto worker = std::make_unique<UdpWorker>(
+      network, timers, reg, net::NodeId{1},
+      std::vector<net::NodeId>{ch_node}, cfg, /*seed=*/1);
+  worker->start();
+  // A failed steal means registration is done and the loop is running.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (worker->stats_snapshot().failed_steals == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "never registered";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  clearinghouse.halt();
+  const std::uint64_t before = worker->stats_snapshot().failed_steals;
+  while (worker->stats_snapshot().failed_steals < before + 5) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  worker.reset();  // several update calls are unanswered at this point
 }
 
 }  // namespace
