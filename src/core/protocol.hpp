@@ -386,11 +386,15 @@ struct UpdateRequest {
 struct StealRequest {
   net::NodeId thief;
   std::uint16_t max_tasks = 1;
+  /// The thief's count of steal requests sent, this one included: names the
+  /// steal in the victim's ledger so a failed call can be cancelled.
+  std::uint64_t seq = 0;
 
   Bytes encode() const {
     Writer w;
     w.u32(thief.value);
     w.u16(max_tasks);
+    w.u64(seq);
     return w.take();
   }
   static std::optional<StealRequest> decode(const Bytes& b) {
@@ -398,6 +402,7 @@ struct StealRequest {
     StealRequest m;
     m.thief = net::NodeId{r.u32()};
     m.max_tasks = r.u16();
+    m.seq = r.u64();
     if (!r.done() || m.max_tasks == 0) return std::nullopt;
     return m;
   }
@@ -451,10 +456,15 @@ struct ControlMsg {
     // outstanding.  Purely a memory/traffic optimisation — a lost notice
     // only means the log is retained longer.
     kMigrationRetired = 4,
+    // Thief `who`'s steal call number `view` failed: the victim redoes what
+    // it served that call (the thief never installed it) and refuses the
+    // request if it arrives later.
+    kStealCancel = 5,
   };
   std::uint8_t kind = kDeadNotice;
   net::NodeId who;
-  /// kNewPrimary: promotion view / kReroute, kMigrationRetired: mig id.
+  /// kNewPrimary: promotion view / kReroute, kMigrationRetired: mig id /
+  /// kStealCancel: the thief's steal seq.
   std::uint64_t view = 0;
 
   Bytes encode() const {
@@ -472,7 +482,8 @@ struct ControlMsg {
     m.view = r.u64();
     if (!r.done()) return std::nullopt;
     if (m.kind != kDeadNotice && m.kind != kNewPrimary &&
-        m.kind != kReroute && m.kind != kMigrationRetired) {
+        m.kind != kReroute && m.kind != kMigrationRetired &&
+        m.kind != kStealCancel) {
       return std::nullopt;
     }
     return m;

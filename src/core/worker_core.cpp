@@ -61,7 +61,8 @@ std::optional<Closure> WorkerCore::try_steal(net::NodeId thief) {
 }
 
 std::vector<Closure> WorkerCore::try_steal_batch(net::NodeId thief,
-                                                 std::uint32_t max_tasks) {
+                                                 std::uint32_t max_tasks,
+                                                 std::uint64_t steal_seq) {
   ++stats_.steal_requests_received;
   std::vector<Closure> out;
   if (max_tasks == 0) return out;
@@ -92,7 +93,7 @@ std::vector<Closure> WorkerCore::try_steal_batch(net::NodeId thief,
     stats_.stolen_depth_total += c->depth;
     stats_.note_free();  // it leaves this worker
     // Record a redo snapshot in case the thief dies before completing it.
-    steal_ledger_.emplace(c->id, LedgerEntry{*c, thief});
+    steal_ledger_.emplace(c->id, LedgerEntry{*c, thief, steal_seq});
     if (tracing()) {
       trace_instant(obs::EventType::kStealServed, c->id, ready_count());
     }
@@ -280,20 +281,16 @@ void WorkerCore::adopt_migrant_ledger(net::NodeId thief, Closure snapshot,
   steal_ledger_.emplace(id, LedgerEntry{std::move(snapshot), thief});
 }
 
-std::size_t WorkerCore::handle_participant_death(net::NodeId dead) {
-  // The fused register could hold an orphan (a stolen task is installed into
-  // the register like any other push); demote so removal sees everything.
-  demote_next_();
-  // 1. Redo: tasks the dead participant stole from us are re-enqueued from
-  //    their ledger snapshots.  Slot fill-flags downstream make any work the
-  //    thief completed before dying idempotent.
+template <typename Match>
+std::size_t WorkerCore::redo_ledger_if(Match match) {
   std::size_t redone = 0;
   for (auto it = steal_ledger_.begin(); it != steal_ledger_.end();) {
-    if (it->second.thief == dead) {
+    if (match(it->second)) {
       stats_.note_alloc();
       ++stats_.tasks_redone;
       if (tracing()) {
-        trace_instant(obs::EventType::kRedo, it->first, dead.value);
+        trace_instant(obs::EventType::kRedo, it->first,
+                      it->second.thief.value);
       }
       push_ready_(adopt(std::move(it->second.snapshot)));
       it = steal_ledger_.erase(it);
@@ -302,6 +299,25 @@ std::size_t WorkerCore::handle_participant_death(net::NodeId dead) {
       ++it;
     }
   }
+  return redone;
+}
+
+std::size_t WorkerCore::redo_steal(net::NodeId thief,
+                                   std::uint64_t steal_seq) {
+  return redo_ledger_if([&](const LedgerEntry& e) {
+    return e.thief == thief && e.steal_seq == steal_seq;
+  });
+}
+
+std::size_t WorkerCore::handle_participant_death(net::NodeId dead) {
+  // The fused register could hold an orphan (a stolen task is installed into
+  // the register like any other push); demote so removal sees everything.
+  demote_next_();
+  // 1. Redo: tasks the dead participant stole from us are re-enqueued from
+  //    their ledger snapshots.  Slot fill-flags downstream make any work the
+  //    thief completed before dying idempotent.
+  const std::size_t redone =
+      redo_ledger_if([&](const LedgerEntry& e) { return e.thief == dead; });
   // 2. Abort orphans: queued tasks we stole whose results would go to
   //    closures on the dead participant.  Running or completed ones are
   //    harmless (their sends dead-letter).  One filtered pass: drain the

@@ -208,9 +208,11 @@ class WorkerCore {
 
   /// Victim side of a batched steal: up to `max_tasks` tasks (capped at
   /// half the ready list — steal-half — and at kMaxStealBatch), each
-  /// ledgered individually.  max_tasks == 1 reproduces try_steal exactly.
+  /// ledgered individually under the thief's `steal_seq`.  max_tasks == 1
+  /// reproduces try_steal exactly.
   std::vector<Closure> try_steal_batch(net::NodeId thief,
-                                       std::uint32_t max_tasks);
+                                       std::uint32_t max_tasks,
+                                       std::uint64_t steal_seq = 0);
 
   /// Thief side of a steal: install a stolen closure for execution, marked
   /// Closure::stolen so a death of its cont.home aborts it while queued.
@@ -300,6 +302,11 @@ class WorkerCore {
   /// (redo), and abort queued tasks we stole whose results go to it (they
   /// could never be claimed).  Returns number of tasks re-enqueued.
   std::size_t handle_participant_death(net::NodeId dead);
+
+  /// A live thief's steal call `steal_seq` failed, so it never installed
+  /// what we served it: re-enqueue exactly those snapshots.  Returns number
+  /// of tasks re-enqueued.
+  std::size_t redo_steal(net::NodeId thief, std::uint64_t steal_seq);
 
   /// Forget ledger entries whose redo window has passed (job completed).
   void clear_steal_ledger() { steal_ledger_.clear(); }
@@ -571,7 +578,11 @@ class WorkerCore {
   struct LedgerEntry {
     Closure snapshot;     // full copy: enough to redo the task
     net::NodeId thief;
+    std::uint64_t steal_seq = 0;  // the thief's steal call (0: unknown)
   };
+  /// Re-enqueue (and erase) every ledger entry `match` accepts.
+  template <typename Match>
+  std::size_t redo_ledger_if(Match match);
   // Keyed by the stolen closure's id.
   std::unordered_map<ClosureId, LedgerEntry> steal_ledger_;
 

@@ -1,9 +1,5 @@
 #include "runtime/simdist/sim_worker.hpp"
 
-#include <algorithm>
-
-#include "util/log.hpp"
-
 namespace phish::rt {
 
 SimWorker::SimWorker(sim::Simulator& simulator, net::SimNetwork& network,
@@ -11,199 +7,14 @@ SimWorker::SimWorker(sim::Simulator& simulator, net::SimNetwork& network,
                      net::NodeId me, std::vector<net::NodeId> clearinghouse,
                      SimWorkerParams params, std::uint64_t seed,
                      ExecOrder exec_order, StealOrder steal_order)
-    : sim_(simulator),
+    : WorkerNode(network.channel(me), timers, registry, me,
+                 std::move(clearinghouse), params, seed, exec_order,
+                 steal_order, *this),
+      sim_(simulator),
       network_(network),
-      timers_(timers),
-      me_(me),
-      clearinghouse_(clearinghouse.front()),
-      params_(params),
-      rng_(mix64(seed ^ me.value)),
-      rpc_(network.channel(me), timers),
-      client_(rpc_, std::move(clearinghouse)),
-      core_(me, registry,
-            [this] {
-              WorkerCore::Hooks hooks;
-              hooks.send_remote = [this](const ContRef& cont, Value value) {
-                Bytes payload =
-                    proto::ArgumentMsg{cont, std::move(value)}.encode();
-                cpu_debt_ += network_.send_cpu_cost(payload.size());
-                auto action = [this, home = cont.home,
-                               p = std::move(payload)]() {
-                  if (client_.is_replica(home)) {
-                    // The job result must survive loss and coordinator
-                    // failover: deliver via RPC through the replica ring,
-                    // which retransmits until acknowledged.
-                    client_.call(proto::kRpcResult, p, [](net::RpcResult) {},
-                                 params_.rpc_policy);
-                  } else {
-                    rpc_.send_oneway(home, proto::kArgument, p);
-                  }
-                };
-                // A send issued mid-task leaves the machine only when the
-                // task's simulated execution finishes; the outbox is flushed
-                // at now + task cost (execute-then-advance would otherwise
-                // deliver results "before" the work that produced them).
-                if (executing_) {
-                  outbox_.push_back(std::move(action));
-                } else {
-                  action();
-                }
-              };
-              hooks.forward_local_miss = [this](const ContRef& cont,
-                                                Value&& value) {
-                // A locally-homed fill whose target closure left with a
-                // previous life's migrated cargo (owner reclaim, then this
-                // incarnation rejoined) must chase it through the same
-                // forwarding stub remote arrivals use; mid-drain it buffers
-                // in the fill log until the successor confirms.
-                if (state_ != State::kDeparting && !forward_to_.valid()) {
-                  return false;
-                }
-                proto::ArgumentMsg arg{cont, std::move(value)};
-                auto action = [this, arg = std::move(arg)]() mutable {
-                  log_and_forward_fill(std::move(arg));
-                };
-                if (executing_) {
-                  outbox_.push_back(std::move(action));
-                } else {
-                  action();
-                }
-                return true;
-              };
-              hooks.emit_io = [this](const std::string& text) {
-                // Application output rides the same buffered path as
-                // argument sends (it leaves when the task's cost elapses).
-                auto action = [this, text] { emit_io(text); };
-                if (executing_) {
-                  outbox_.push_back(std::move(action));
-                } else {
-                  action();
-                }
-              };
-              return hooks;
-            }(),
-            exec_order, steal_order),
-      heartbeat_timer_(simulator, params.heartbeat_period,
-                       [this] {
-                         // Every replica hears heartbeats, so a promoted
-                         // standby starts with a warm liveness map.
-                         client_.send_oneway_all(proto::kHeartbeat, {});
-                       }),
-      update_timer_(simulator, params.update_period,
-                    [this] { refresh_membership(); }) {
-  rpc_.set_jitter_seed(mix64(seed ^ 0x6a77'7e12'0badULL ^ me.value));
-  rpc_.set_oneway_handler(
-      [this](net::Message&& m) { handle_oneway(std::move(m)); });
-  rpc_.serve(proto::kRpcSteal, [this](net::NodeId src, const Bytes& args) {
-    return serve_steal(src, args);
-  });
-  rpc_.serve(proto::kRpcControl, [this](net::NodeId, const Bytes& args) {
-    return handle_control(args);
-  });
-  rpc_.serve(proto::kRpcMigrate, [this](net::NodeId src, const Bytes& args) {
-    return serve_migrate(src, args);
-  });
-}
+      params_(params) {}
 
-void SimWorker::set_root(TaskId task, std::vector<Value> args) {
-  root_ = std::make_pair(task, std::move(args));
-}
-
-void SimWorker::start() {
-  if (state_ != State::kCreated) return;
-  state_ = State::kRegistering;
-  start_time_ = sim_.now();
-  client_.call(
-      proto::kRpcRegister,
-      proto::RegisterMsg{incarnation_, known_epoch_}.encode(),
-      [this, inc = incarnation_,
-       since = known_epoch_](net::RpcResult result) {
-        if (incarnation_ != inc) return;  // callback from a past life
-        if (state_ != State::kRegistering) return;
-        if (!result.ok) {
-          // Exponential backoff with seeded jitter: a rack coming back to
-          // life must not re-register in lockstep (register storm).
-          register_backoff_ =
-              register_backoff_ == 0
-                  ? params_.register_backoff
-                  : std::min(register_backoff_ * 2,
-                             params_.register_backoff_max);
-          const auto jitter = static_cast<sim::SimTime>(rng_.below(
-              static_cast<std::uint64_t>(register_backoff_ / 2) + 1));
-          PHISH_LOG(kWarn) << net::to_string(me_)
-                           << ": registration failed; retrying in "
-                           << (register_backoff_ + jitter) / sim::kMillisecond
-                           << " ms";
-          state_ = State::kCreated;
-          sim_.schedule(register_backoff_ + jitter, [this] { start(); });
-          return;
-        }
-        register_backoff_ = 0;
-        // The reply format follows what we presented: a nonzero known epoch
-        // opted into a delta, first contact gets the legacy full snapshot.
-        if (since > 0) {
-          auto update = proto::MembershipUpdate::decode(result.reply);
-          if (!update) return;
-          apply_membership_update(*update);
-          state_ = State::kActive;
-          activate();
-        } else {
-          auto membership = proto::Membership::decode(result.reply);
-          if (membership) on_registered(*membership);
-        }
-      },
-      params_.rpc_policy);
-}
-
-void SimWorker::on_registered(const proto::Membership& membership) {
-  state_ = State::kActive;
-  known_epoch_ = membership.epoch;
-  peers_.clear();
-  for (net::NodeId p : membership.participants) {
-    if (p != me_) peers_.push_back(p);
-  }
-  activate();
-}
-
-void SimWorker::apply_membership_update(const proto::MembershipUpdate& update) {
-  known_epoch_ = update.epoch;
-  if (update.full) {
-    peers_.clear();
-    for (net::NodeId p : update.participants) {
-      if (p != me_) peers_.push_back(p);
-    }
-    return;
-  }
-  for (net::NodeId gone : update.left) {
-    peers_.erase(std::remove(peers_.begin(), peers_.end(), gone),
-                 peers_.end());
-  }
-  for (net::NodeId p : update.joined) {
-    if (p != me_ &&
-        std::find(peers_.begin(), peers_.end(), p) == peers_.end()) {
-      peers_.push_back(p);
-    }
-  }
-}
-
-void SimWorker::activate() {
-  // A zero period disables the timer (e.g. measurement runs that model the
-  // paper's Phish, which had no heartbeats).
-  if (params_.heartbeat_period > 0) heartbeat_timer_.start(1);
-  if (params_.update_period > 0) update_timer_.start();
-  if (root_) {
-    core_.spawn(root_->first, std::move(root_->second),
-                clearinghouse_continuation(clearinghouse_), 0);
-    root_.reset();
-  }
-  if (restore_state_) {
-    core_.import_state(*restore_state_);
-    restore_state_.reset();
-  }
-  schedule_step(0);
-}
-
-void SimWorker::schedule_step(sim::SimTime delay) {
+void SimWorker::schedule_step(std::uint64_t delay) {
   const sim::SimTime when = sim_.now() + delay;
   if (step_scheduled_) {
     if (when >= next_step_time_) return;  // an earlier step is already set
@@ -217,35 +28,62 @@ void SimWorker::schedule_step(sim::SimTime delay) {
   });
 }
 
+void SimWorker::cancel_step() {
+  if (!step_scheduled_) return;
+  sim_.cancel(step_event_);
+  step_scheduled_ = false;
+}
+
+void SimWorker::send_from_task(std::function<void()> send) {
+  // A send issued mid-task leaves the machine only when the task's simulated
+  // execution finishes; the outbox is flushed at now + task cost
+  // (execute-then-advance would otherwise deliver results "before" the work
+  // that produced them).
+  if (executing_) {
+    outbox_.push_back(std::move(send));
+  } else {
+    send();
+  }
+}
+
+void SimWorker::isolate(bool cut) {
+  network_.partition(id(), cut);
+  if (!cut) {
+    cpu_debt_ = 0;
+    outbox_.clear();
+  }
+}
+
 void SimWorker::step() {
-  if (state_ != State::kActive) return;
+  if (state() != State::kActive) return;
   sim::SimTime cost = scaled(cpu_debt_);
   cpu_debt_ = 0;
 
-  if (auto task = core_.pop_for_execution()) {
+  WorkerCore& core = this->core();
+  if (auto task = core.pop_for_execution()) {
     executing_ = true;
-    core_.execute(*task);  // sends inside are buffered; costs join cpu_debt_
+    core.execute(*task);  // sends inside are buffered; costs join cpu_debt_
     executing_ = false;
     cost += scaled(params_.task_overhead +
-                   core_.last_charge() * params_.charge_unit + cpu_debt_);
+                   core.last_charge() * params_.charge_unit + cpu_debt_);
     cpu_debt_ = 0;
-    consecutive_failed_steals_ = 0;
+    note_task_ran();
     if (trace_shard_ != nullptr && trace_shard_->enabled()) {
       // Virtual-time span: the task occupies [now, now + cost] of simulated
       // time (the core's wall-clock span would be zero-length here).
       obs::TraceEvent e = obs::make_event(
-          obs::EventType::kExecute, static_cast<std::uint16_t>(me_.value),
+          obs::EventType::kExecute, static_cast<std::uint16_t>(id().value),
           sim_.now());
       e.t_end = sim_.now() + cost;
       e.closure_origin = task->id.origin.value;
       e.closure_seq = task->id.seq;
-      e.arg = core_.ready_count();
+      e.arg = core.ready_count();
       trace_shard_->emit(e);
     }
     if (!outbox_.empty()) {
       // Messages produced by this task leave when its execution completes.
       sim_.schedule(cost, [this, batch = std::move(outbox_)] {
-        if (state_ == State::kDead) return;  // crashed before the flush
+        if (state() == State::kDead) return;  // crashed before the flush
         for (const auto& send : batch) send();
       });
       outbox_.clear();
@@ -253,580 +91,7 @@ void SimWorker::step() {
     schedule_step(cost);
     return;
   }
-  if (steal_in_flight_) return;  // reply callback will reschedule
-  attempt_steal();
-}
-
-void SimWorker::attempt_steal() {
-  if (state_ != State::kActive || steal_in_flight_) return;
-  std::optional<net::NodeId> victim = pick_victim();
-  if (!victim) {
-    // Nobody to steal from yet; refresh membership and retry.
-    ++consecutive_failed_steals_;
-    core_.note_steal_request_sent();
-    core_.note_steal_failed();
-    if (consecutive_failed_steals_ >= params_.max_failed_steals) {
-      depart(DepartReason::kParallelismShrank);
-      return;
-    }
-    refresh_membership();
-    schedule_step(params_.steal_retry_delay);
-    return;
-  }
-  steal_in_flight_ = true;
-  steal_sent_at_ = sim_.now();
-  core_.note_steal_request_sent();
-  const std::uint16_t max_tasks = static_cast<std::uint16_t>(
-      params_.steal_batch < 1 ? 1 : params_.steal_batch);
-  const Bytes payload = proto::StealRequest{me_, max_tasks}.encode();
-  cpu_debt_ += network_.send_cpu_cost(payload.size());
-  rpc_.call(
-      *victim, proto::kRpcSteal, payload,
-      [this, v = *victim](net::RpcResult result) {
-        on_steal_reply(v, std::move(result));
-      },
-      params_.rpc_policy);
-}
-
-void SimWorker::on_steal_reply(net::NodeId victim, net::RpcResult result) {
-  steal_in_flight_ = false;
-  if (state_ != State::kActive) return;
-  cpu_debt_ += network_.recv_cpu_cost();
-
-  bool got_task = false;
-  if (result.ok) {
-    auto reply = proto::StealReply::decode(result.reply);
-    if (reply && !reply->tasks.empty()) {
-      for (Closure& c : reply->tasks) core_.install_stolen(std::move(c));
-      steal_latency_.observe(sim_.now() - steal_sent_at_);
-      if (tracker_ != nullptr) tracker_->note_steal(timers_.now_ns());
-      got_task = true;
-    }
-  } else {
-    // Victim unreachable — it may be gone; refresh our view.
-    refresh_membership();
-    (void)victim;
-  }
-
-  if (pending_evict_) {
-    // The deferred eviction (owner reclaim or preemption) fires now; any
-    // closure installed above migrates out through the departure path.
-    const DepartReason reason = *pending_evict_;
-    pending_evict_.reset();
-    depart(reason);
-    return;
-  }
-  if (got_task) {
-    consecutive_failed_steals_ = 0;
-    schedule_step(0);
-    return;
-  }
-  core_.note_steal_failed();
-  if (++consecutive_failed_steals_ >= params_.max_failed_steals) {
-    depart(DepartReason::kParallelismShrank);
-    return;
-  }
-  // A stale membership view can hide the participants that actually have
-  // work (e.g. one that registered after our snapshot); refresh it every few
-  // consecutive failures rather than waiting out the full update period.
-  if (consecutive_failed_steals_ % 8 == 0) refresh_membership();
-  schedule_step(params_.steal_retry_delay);
-}
-
-Bytes SimWorker::serve_steal(net::NodeId, const Bytes& args) {
-  auto request = proto::StealRequest::decode(args);
-  proto::StealReply reply;
-  if (request && state_ == State::kActive) {
-    reply.tasks = core_.try_steal_batch(request->thief, request->max_tasks);
-  }
-  const Bytes encoded = reply.encode();
-  // Victim pays for receiving the request and sending the reply.
-  cpu_debt_ += network_.recv_cpu_cost() + network_.send_cpu_cost(encoded.size());
-  return encoded;
-}
-
-void SimWorker::handle_oneway(net::Message&& message) {
-  switch (message.type) {
-    case proto::kArgument: {
-      auto arg = proto::ArgumentMsg::decode(message.payload);
-      if (!arg) return;
-      if (state_ == State::kDeparted) {
-        // Forwarding stub: our closures moved.  Log the fill (a later
-        // kReroute must be able to replay it at a redelivered holder) and
-        // pass it along.
-        if (forward_to_.valid()) log_and_forward_fill(std::move(*arg));
-        return;
-      }
-      if (terminated()) return;
-      cpu_debt_ += network_.recv_cpu_cost();
-      // Only a departing worker or a residual stub may need the value again
-      // (to forward); everyone else moves it straight into the closure.
-      const bool may_forward =
-          state_ == State::kDeparting || forward_to_.valid();
-      const auto outcome =
-          may_forward ? core_.deliver_remote(arg->cont.target, arg->cont.slot,
-                                             arg->value)
-                      : core_.deliver_remote(arg->cont.target, arg->cont.slot,
-                                             std::move(arg->value));
-      if (outcome == WorkerCore::Deliver::kBecameReady &&
-          state_ == State::kActive) {
-        schedule_step(0);
-      }
-      if (outcome == WorkerCore::Deliver::kUnknown) {
-        if (state_ == State::kDeparting) {
-          // Post-drain fill: the target closure is in the departing cargo.
-          // Buffer it; it flushes once the successor confirms.
-          log_and_forward_fill(std::move(*arg));
-        } else if (forward_to_.valid()) {
-          // Residual stub after rejoin: the closure left with the previous
-          // life's cargo; keep forwarding.
-          log_and_forward_fill(std::move(*arg));
-        }
-      }
-      break;
-    }
-    case proto::kShutdown: {
-      if (state_ == State::kActive || state_ == State::kRegistering) finish();
-      break;
-    }
-    case proto::kMigrate: {
-      if (state_ == State::kDeparted && forward_to_.valid()) {
-        // We left too; pass the cargo to our own successor.
-        rpc_.send_oneway(forward_to_, proto::kMigrate, message.payload);
-        return;
-      }
-      auto migrate = proto::MigrateMsg::decode(message.payload);
-      if (!migrate || state_ != State::kActive) return;
-      cpu_debt_ += network_.recv_cpu_cost();
-      for (Closure& c : migrate->closures) {
-        core_.install_migrated(std::move(c));
-      }
-      schedule_step(0);
-      break;
-    }
-    default:
-      PHISH_LOG(kDebug) << net::to_string(me_) << ": unexpected message type "
-                        << message.type;
-  }
-}
-
-Bytes SimWorker::handle_control(const Bytes& args) {
-  // Acked control plane (death notices, new-primary announcements).  The
-  // RPC reply is the ack; an empty body is all the caller needs.
-  auto msg = proto::ControlMsg::decode(args);
-  if (!msg) return {};
-  switch (msg->kind) {
-    case proto::ControlMsg::kDeadNotice:
-      apply_death(msg->who);
-      break;
-    case proto::ControlMsg::kNewPrimary:
-      client_.adopt(msg->who, msg->view);
-      break;
-    case proto::ControlMsg::kReroute:
-      // The Clearinghouse redelivered our migrated cargo to `who`: re-target
-      // the forwarding stub and replay every fill logged since the drain —
-      // the redelivered snapshot predates them (duplicates are idempotent).
-      if (msg->who.valid() && msg->who != me_) {
-        forward_to_ = msg->who;
-        flushed_fills_ = 0;
-        flush_fill_log();
-      }
-      break;
-    case proto::ControlMsg::kMigrationRetired:
-      // Ledger entry msg->view is gone (holder finished the cargo or
-      // re-snapshotted it with all fills applied): once no migration of
-      // ours remains outstanding, no kReroute can ever replay the fill
-      // log, so release it instead of retaining it forever.
-      outstanding_migrations_.erase(msg->view);
-      if (outstanding_migrations_.empty()) {
-        fill_log_.clear();
-        flushed_fills_ = 0;
-      }
-      break;
-    default:
-      break;
-  }
-  return {};
-}
-
-void SimWorker::apply_death(net::NodeId dead) {
-  ever_died_.insert(dead.value);
-  if (terminated() || dead == me_) return;
-  peers_.erase(std::remove(peers_.begin(), peers_.end(), dead), peers_.end());
-  const std::size_t redone = core_.handle_participant_death(dead);
-  if (redone > 0 && state_ == State::kActive) schedule_step(0);
-  // During kDeparting the redo snapshots just landed in a drained core; the
-  // handshake's next confirm loops back through begin_migration_round, which
-  // packages them into a fresh migration round.
-}
-
-void SimWorker::depart(DepartReason reason) {
-  if (state_ == State::kDeparting || terminated()) return;
-  depart_reason_ = reason;
-  core_.trace_instant(obs::EventType::kReclaim, ClosureId{},
-                      reason == DepartReason::kOwnerReclaimed   ? 1
-                      : reason == DepartReason::kPreempted      ? 2
-                                                                : 0);
-  // Heartbeats keep running through the handshake: if we crash mid-departure
-  // the failure detector must still fire, and if we finish cleanly the
-  // unregister retires us before any timeout.
-  state_ = State::kDeparting;
-  begin_migration_round();
-}
-
-void SimWorker::begin_migration_round() {
-  if (state_ != State::kDeparting) return;
-  // Drain everything a crash of this worker (or of the successor) would
-  // lose: remaining closures AND the steal ledger — the successor inherits
-  // the victim role for our thieves' outstanding work.
-  std::vector<Closure> cargo = core_.drain_for_migration();
-  std::vector<proto::MigrantLedgerEntry> ledger = core_.export_steal_ledger();
-  if (cargo.empty() && ledger.empty()) {
-    finalize_depart(/*cargo_lost=*/false);
-    return;
-  }
-  const std::uint64_t mid =
-      (static_cast<std::uint64_t>(me_.value) << 32) | next_mig_seq_++;
-  // Step 1: register the cargo snapshot with the Clearinghouse BEFORE any
-  // handoff.  From here on, a crash of ours or the successor's is
-  // recoverable: the coordinator redelivers from the ledger.
-  proto::MigrationLedgerMsg reg;
-  reg.migration_id = mid;
-  reg.from = me_;
-  reg.holder = me_;
-  reg.closures = cargo;
-  reg.ledger = ledger;
-  const Bytes payload = reg.encode();
-  cpu_debt_ += network_.send_cpu_cost(payload.size());
-  client_.call(
-      proto::kRpcMigrateLedger, payload,
-      [this, inc = incarnation_, mid, cargo = std::move(cargo),
-       ledger = std::move(ledger)](net::RpcResult result) mutable {
-        if (incarnation_ != inc || state_ != State::kDeparting) return;
-        bool ok = false;
-        if (result.ok) {
-          Reader r(result.reply);
-          ok = r.boolean() && r.ok();
-        }
-        if (!ok) {
-          abandon_depart("migration ledger unreachable");
-          return;
-        }
-        // The ledger entry exists from here until the coordinator retires
-        // it (even if the handoff below is abandoned): retain the fill log
-        // for a possible kReroute replay until the retirement notice.
-        outstanding_migrations_.insert(mid);
-        try_handoff(mid, std::move(cargo), std::move(ledger), peers_);
-      },
-      params_.rpc_policy);
-}
-
-void SimWorker::try_handoff(std::uint64_t mid, std::vector<Closure> cargo,
-                            std::vector<proto::MigrantLedgerEntry> ledger,
-                            std::vector<net::NodeId> candidates) {
-  if (state_ != State::kDeparting) return;
-  if (candidates.empty()) {
-    // Nobody accepted.  The ledger is registered with us as holder, so our
-    // (suppressed-unregister) death hands the cargo to the coordinator's
-    // redelivery path instead of losing it.
-    abandon_depart("no successor accepted the cargo");
-    return;
-  }
-  const std::size_t pick = rng_.below(candidates.size());
-  const net::NodeId successor = candidates[pick];
-  candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-  proto::MigrateMsg msg;
-  msg.from = me_;
-  msg.closures = cargo;
-  msg.migration_id = mid;
-  msg.redelivery = false;
-  msg.ledger = ledger;
-  const Bytes payload = msg.encode();
-  cpu_debt_ += network_.send_cpu_cost(payload.size());
-  // Step 2: acked handoff.  kMigrate used to be a fire-and-forget oneway —
-  // the unsurvivable window the ledger closes; now the cargo is only
-  // considered placed once the successor's reply says it installed it.
-  rpc_.call(
-      successor, proto::kRpcMigrate, payload,
-      [this, inc = incarnation_, mid, successor, cargo = std::move(cargo),
-       ledger = std::move(ledger),
-       candidates = std::move(candidates)](net::RpcResult result) mutable {
-        if (incarnation_ != inc || state_ != State::kDeparting) return;
-        bool accepted = false;
-        if (result.ok) {
-          Reader r(result.reply);
-          accepted = r.boolean() && r.ok();
-        }
-        if (!accepted) {
-          // Unreachable, departing, or dead: try the next candidate.
-          try_handoff(mid, std::move(cargo), std::move(ledger),
-                      std::move(candidates));
-          return;
-        }
-        forward_to_ = successor;
-        flush_fill_log();
-        confirm_holder(mid, successor);
-      },
-      params_.rpc_policy);
-}
-
-void SimWorker::confirm_holder(std::uint64_t mid, net::NodeId holder) {
-  if (state_ != State::kDeparting) return;
-  // Step 3: atomically transfer redo ownership — after this ack the
-  // coordinator watches the successor, not us, for this cargo.
-  proto::MigrationLedgerMsg upd;
-  upd.migration_id = mid;
-  upd.from = me_;
-  upd.holder = holder;
-  client_.call(
-      proto::kRpcMigrateLedger, upd.encode(),
-      [this, inc = incarnation_](net::RpcResult result) {
-        if (incarnation_ != inc || state_ != State::kDeparting) return;
-        bool ok = false;
-        if (result.ok) {
-          Reader r(result.reply);
-          ok = r.boolean() && r.ok();
-        }
-        if (!ok) {
-          // The successor holds the cargo but the coordinator still lists
-          // us: die noisily (no unregister) so it redelivers; the duplicate
-          // execution is idempotent at the joins.
-          abandon_depart("holder confirmation unreachable");
-          return;
-        }
-        // A death notice that arrived mid-handshake re-enqueued redo
-        // snapshots into the drained core: run another round for them.
-        begin_migration_round();
-      },
-      params_.rpc_policy);
-}
-
-void SimWorker::abandon_depart(const char* why) {
-  PHISH_LOG(kWarn) << net::to_string(me_) << ": departing but " << why
-                   << "; skipping unregister so the failure detector "
-                      "triggers the redo path";
-  finalize_depart(/*cargo_lost=*/true);
-}
-
-void SimWorker::finalize_depart(bool cargo_lost) {
-  state_ = State::kDeparted;
-  end_time_ = sim_.now();
-  heartbeat_timer_.stop();
-  update_timer_.stop();
-  send_stats_and_unregister(/*unregister=*/!cargo_lost);
-  if (on_terminated_) on_terminated_(state_);
-  if (pending_rejoin_) {
-    pending_rejoin_ = false;
-    rejoin();
-  }
-}
-
-void SimWorker::log_and_forward_fill(proto::ArgumentMsg arg) {
-  if (arg.ttl == 0) return;  // forwarding-cycle guard: drop, let redo cover
-  --arg.ttl;
-  if (forward_to_.valid() && outstanding_migrations_.empty()) {
-    // Every ledger entry we originated is retired, so no kReroute can ever
-    // ask for a replay: forward without retaining.  (With no successor yet
-    // the fill must still be buffered below, retirement or not.)
-    rpc_.send_oneway(forward_to_, proto::kArgument, arg.encode());
-    return;
-  }
-  fill_log_.push_back(arg.encode());
-  flush_fill_log();
-}
-
-void SimWorker::flush_fill_log() {
-  if (!forward_to_.valid()) return;
-  for (std::size_t i = flushed_fills_; i < fill_log_.size(); ++i) {
-    rpc_.send_oneway(forward_to_, proto::kArgument, fill_log_[i]);
-  }
-  flushed_fills_ = fill_log_.size();
-}
-
-Bytes SimWorker::serve_migrate(net::NodeId, const Bytes& args) {
-  Writer reply;
-  auto m = proto::MigrateMsg::decode(args);
-  if (!m || state_ != State::kActive) {
-    // Departing/dead/stub workers refuse: the sender (origin or
-    // coordinator) picks someone else.
-    reply.boolean(false);
-    return reply.take();
-  }
-  cpu_debt_ += network_.recv_cpu_cost();
-  if (m->migration_id != 0 &&
-      !seen_migrations_.insert(m->migration_id).second) {
-    // Duplicate delivery (retransmitted handoff racing a coordinator
-    // redelivery): already installed, just re-ack.
-    reply.boolean(true);
-    return reply.take();
-  }
-  for (Closure& c : m->closures) {
-    if (m->redelivery) {
-      core_.install_migration_redo(std::move(c));
-    } else {
-      core_.install_migrated(std::move(c));
-    }
-  }
-  for (proto::MigrantLedgerEntry& e : m->ledger) {
-    // Inherit the victim role: if the thief already died (we saw the
-    // notice; the origin's redo never ran), redo now instead of ledgering.
-    core_.adopt_migrant_ledger(e.thief, std::move(e.snapshot),
-                               ever_died_.count(e.thief.value) != 0);
-  }
-  if (m->migration_id != 0) {
-    core_.trace_instant(obs::EventType::kMigrateRereg, ClosureId{},
-                        static_cast<std::uint32_t>(m->closures.size() +
-                                                   m->ledger.size()));
-  }
-  schedule_step(0);
-  reply.boolean(true);
-  return reply.take();
-}
-
-void SimWorker::finish() {
-  state_ = State::kFinished;
-  end_time_ = sim_.now();
-  heartbeat_timer_.stop();
-  update_timer_.stop();
-  core_.clear_steal_ledger();
-  send_stats_and_unregister();
-  if (on_terminated_) on_terminated_(state_);
-}
-
-void SimWorker::send_stats_and_unregister(bool unregister) {
-  proto::StatsMsg stats;
-  stats.who = me_;
-  stats.stats = core_.stats();
-  stats.start_ns = start_time_;
-  stats.end_ns = end_time_;
-  client_.send_oneway(proto::kStatsReport, stats.encode());
-  if (!unregister) return;  // depart-with-lost-cargo: be "dead", not gone
-  client_.call(proto::kRpcUnregister, {}, [](net::RpcResult) {},
-               params_.rpc_policy);
-}
-
-void SimWorker::refresh_membership() {
-  if (terminated()) return;
-  // Present the epoch we already hold: steady-state refreshes come back as
-  // (usually empty) deltas instead of full snapshots.
-  client_.call(
-      proto::kRpcUpdate, proto::UpdateRequest{known_epoch_}.encode(),
-      [this, inc = incarnation_,
-       since = known_epoch_](net::RpcResult result) {
-        if (incarnation_ != inc) return;  // callback from a past life
-        if (!result.ok || terminated()) return;
-        if (since > 0) {
-          auto update = proto::MembershipUpdate::decode(result.reply);
-          if (update) apply_membership_update(*update);
-          return;
-        }
-        auto membership = proto::Membership::decode(result.reply);
-        if (!membership) return;
-        known_epoch_ = membership->epoch;
-        peers_.clear();
-        for (net::NodeId p : membership->participants) {
-          if (p != me_) peers_.push_back(p);
-        }
-      },
-      params_.rpc_policy);
-}
-
-std::optional<net::NodeId> SimWorker::pick_peer() {
-  if (peers_.empty()) return std::nullopt;
-  return peers_[rng_.below(peers_.size())];
-}
-
-std::optional<net::NodeId> SimWorker::pick_victim() {
-  if (peers_.empty()) return std::nullopt;
-  switch (params_.victim_policy) {
-    case VictimPolicy::kUniformRandom:
-      return peers_[rng_.below(peers_.size())];
-    case VictimPolicy::kRoundRobin:
-      return peers_[round_robin_cursor_++ % peers_.size()];
-    case VictimPolicy::kFixedFirst:
-      return peers_.front();
-    case VictimPolicy::kClusterLocal: {
-      // Random victim within our cluster until repeated failures suggest the
-      // local cluster is out of work; then random among everyone.
-      if (consecutive_failed_steals_ < params_.cluster_escalate_after) {
-        const int my_cluster = network_.cluster_of(me_);
-        std::vector<net::NodeId> local;
-        for (net::NodeId p : peers_) {
-          if (network_.cluster_of(p) == my_cluster) local.push_back(p);
-        }
-        if (!local.empty()) return local[rng_.below(local.size())];
-      }
-      return peers_[rng_.below(peers_.size())];
-    }
-  }
-  return peers_.front();
-}
-
-void SimWorker::evict(DepartReason reason) {
-  if (state_ == State::kDeparting || terminated()) return;
-  // An in-flight steal may yet deliver a closure (possibly on a
-  // retransmitted reply).  The victim's ledger only redoes work for thieves
-  // that die, so departing now would strand it; wait for the reply and let
-  // the closure migrate out with the rest.
-  if (steal_in_flight_) {
-    pending_evict_ = reason;
-    return;
-  }
-  depart(reason);
-}
-
-void SimWorker::reclaim_by_owner() { evict(DepartReason::kOwnerReclaimed); }
-
-void SimWorker::preempt_by_scheduler() { evict(DepartReason::kPreempted); }
-
-void SimWorker::crash() {
-  if (terminated()) return;
-  core_.trace_instant(obs::EventType::kCrash, ClosureId{}, 0);
-  state_ = State::kDead;
-  end_time_ = sim_.now();
-  heartbeat_timer_.stop();
-  update_timer_.stop();
-  if (step_scheduled_) {
-    sim_.cancel(step_event_);
-    step_scheduled_ = false;
-  }
-  network_.partition(me_);
-  if (on_terminated_) on_terminated_(state_);
-}
-
-void SimWorker::rejoin() {
-  if (state_ == State::kDeparting) {
-    // The restart raced the durability handshake: finish departing (the
-    // cargo's redo ownership must land somewhere) and come back after.
-    pending_rejoin_ = true;
-    return;
-  }
-  if (state_ != State::kDead && state_ != State::kDeparted) return;
-  network_.partition(me_, false);  // the replacement machine comes online
-  ++incarnation_;
-  // Survivors redo everything the dead life had stolen; the new life starts
-  // empty but keeps its id allocator (late messages addressed to the old
-  // incarnation must not land in new closures).  peers_ and known_epoch_
-  // survive as the base the registration delta is applied against.
-  // forward_to_ and the fill log survive too: the stub obligation for the
-  // previous life's migrated closures outlives it (arguments addressed here
-  // keep arriving, and a kReroute may still ask for a replay).  Locally
-  // unknown fills forward; the ArgumentMsg ttl bounds any stub cycle.
-  core_.reset_for_rejoin();
-  seen_migrations_.clear();
-  register_backoff_ = 0;
-  steal_in_flight_ = false;
-  pending_evict_.reset();
-  consecutive_failed_steals_ = 0;
-  cpu_debt_ = 0;
-  outbox_.clear();
-  depart_reason_.reset();
-  state_ = State::kCreated;
-  start();
-}
-
-void SimWorker::emit_io(const std::string& text) {
-  client_.send_oneway(proto::kIo, proto::IoMsg{me_, text}.encode());
+  steal_if_idle();
 }
 
 }  // namespace phish::rt

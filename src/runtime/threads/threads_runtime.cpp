@@ -49,7 +49,10 @@ ThreadsRuntime::ThreadsRuntime(const TaskRegistry& registry,
     throw std::invalid_argument(
         "threads runtime: poll_period and steal_batch must be >= 1");
   }
-  use_lockfree_ = config_.lockfree_deque && config_.workers > 1 &&
+  // Lock-free Chase–Lev steals need more than one worker (a solo worker
+  // would pay the deque's fences for nothing) and the paper's standard
+  // orders (the ablation orders need the guarded ring).
+  use_lockfree_ = config_.workers > 1 &&
                   config_.exec_order == ExecOrder::kLifo &&
                   config_.steal_order == StealOrder::kFifo;
   workers_.reserve(config_.workers);
@@ -109,7 +112,6 @@ ThreadsRunResult ThreadsRuntime::run(TaskId root, std::vector<Value> args) {
     CoreOptions opts;
     opts.exec_order = config_.exec_order;
     opts.steal_order = config_.steal_order;
-    opts.fused_spawn = config_.fused_spawn;
     opts.lockfree_deque = use_lockfree_;
     std::lock_guard<std::mutex> lock(w.core_mutex);
     w.core = std::make_unique<WorkerCore>(net::NodeId{

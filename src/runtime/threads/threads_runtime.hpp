@@ -58,16 +58,6 @@ struct ThreadsConfig {
   /// Consecutive empty scheduling rounds (own queue, inbox, and a failed
   /// steal) after which a worker naps briefly instead of spinning.
   int spin_rounds_before_yield = 64;
-  /// Back each worker's ready list with the lock-free Chase–Lev deque and
-  /// steal without taking the victim's core lock.  Effective only with >1
-  /// worker and the paper's standard orders (kLifo exec / kFifo steal);
-  /// otherwise the mutex-guarded ring is used (a solo worker would pay the
-  /// deque's fences for nothing, and ablation orders need the ring).  Off
-  /// switch kept for differential testing.
-  bool lockfree_deque = true;
-  /// Run the newly spawned LIFO child from the core's one-slot register
-  /// without touching the deque (Cilk-style fusion; see CoreOptions).
-  bool fused_spawn = true;
   /// Optional event tracer (wall-clock domain).  Worker i writes to
   /// tracer->shard(i); null disables tracing entirely.
   obs::Tracer* tracer = nullptr;

@@ -56,7 +56,8 @@ TEST(UdpFailover, PrimaryKillPromotesBackupAndFinishes) {
   // lands mid-job and promotion (~0.9s) leaves ample post-failover stealing.
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/22);
   rt::UdpJobConfig cfg = udp_failover_config(0x0ddf'a110);
-  cfg.kill_primary_after_ns = 400'000'000ULL;
+  cfg.node_events.push_back(
+      {400'000'000ULL, net::NodeFaultKind::kCrash, net::kCoordinatorWorker});
   rt::UdpJob job(reg, cfg);
   const auto result = job.run(root, {Value(std::int64_t{45})});
   EXPECT_EQ(result.value.as_int(), fib_iterative(45));
@@ -190,9 +191,10 @@ TEST(UdpFailover, KilledWorkerRejoinsMidJob) {
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/22);
   rt::UdpJobConfig cfg = udp_failover_config(0x1d30);
   cfg.enable_backup = false;
-  cfg.kill_worker_after_ns = 300'000'000ULL;
-  cfg.kill_worker_index = 1;
-  cfg.rejoin_worker_after_ns = 1'200'000'000ULL;
+  cfg.node_events.push_back(
+      {300'000'000ULL, net::NodeFaultKind::kCrash, 1});
+  cfg.node_events.push_back(
+      {1'200'000'000ULL, net::NodeFaultKind::kRestart, 1});
   rt::UdpJob job(reg, cfg);
   const auto result = job.run(root, {Value(std::int64_t{45})});
   EXPECT_EQ(result.value.as_int(), fib_iterative(45));

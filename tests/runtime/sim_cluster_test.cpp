@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hpp"
+#include "core/protocol.hpp"
 
 namespace phish::rt {
 namespace {
@@ -212,6 +213,42 @@ TEST(SimCluster, CrashRecoveryRedoesStolenWork) {
   // have been redone from the steal ledgers.
   EXPECT_EQ(cluster.clearinghouse().declared_dead().size(), 1u);
   EXPECT_GE(result.aggregate.tasks_redone, 1u);
+}
+
+/// Every frame victim -> thief in [1, last_seq] is lost, except dataflow
+/// (kArgument, kMigrate), which the protocol never claimed to survive losing.
+SimJobResult run_with_lost_steal_replies(std::uint64_t last_seq) {
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/8);
+  SimJobConfig cfg = small_config(2);
+  cfg.max_sim_time = 30 * sim::kSecond;
+  net::FaultPlan plan;
+  net::LinkRule rule;
+  rule.src = net::NodeId{1};
+  rule.dst = net::NodeId{2};
+  rule.first_seq = 1;
+  rule.last_seq = last_seq;
+  rule.drop = 1.0;
+  plan.links.push_back(rule);
+  plan.lossless_types = {proto::kArgument, proto::kMigrate};
+  SimCluster cluster(reg, cfg);
+  cluster.apply_fault_plan(plan);
+  return cluster.run(root, {Value(std::int64_t{22})});
+}
+
+TEST(SimCluster, StealWhoseEveryReplyIsLostIsRedoneAtTheVictim) {
+  // The victim ledgers what it serves; the thief's call fails after its last
+  // retransmission.  The thief is alive, so no death notice will ever redo
+  // those closures: the thief cancels the steal instead, and the victim
+  // redoes exactly it.  Without the cancel the job never completes.
+  const auto result = run_with_lost_steal_replies(20);
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(22));
+  EXPECT_GE(result.aggregate.tasks_redone, 1u);
+}
+
+TEST(SimCluster, StealThatOutlastsShortReplyLossNeedsNoRedo) {
+  const auto result = run_with_lost_steal_replies(8);
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(22));
 }
 
 TEST(SimCluster, ParticipantLifetimesAreConsistent) {
