@@ -40,7 +40,11 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 
 UdpNetwork::UdpNetwork(UdpParams params) : params_(params) {}
 
-UdpNetwork::~UdpNetwork() = default;
+UdpNetwork::~UdpNetwork() {
+  // Channels first: their receiver threads read the port table (a reply's
+  // send) until each channel's destructor has joined its thread.
+  channels_.clear();
+}
 
 std::uint16_t UdpNetwork::port_of(NodeId id) const noexcept {
   if (params_.base_port != 0) {
@@ -115,6 +119,10 @@ UdpChannel::~UdpChannel() {
 }
 
 void UdpChannel::set_receiver(Receiver receiver) {
+  // Wait out a delivery in progress, unless this is that delivery: once this
+  // returns, the old receiver no longer runs and its owner may be destroyed.
+  std::unique_lock<std::mutex> dispatch(dispatch_mutex_, std::defer_lock);
+  if (std::this_thread::get_id() != receiver_thread_.get_id()) dispatch.lock();
   std::lock_guard<std::mutex> lock(mutex_);
   receiver_ = std::move(receiver);
 }
@@ -197,6 +205,7 @@ void UdpChannel::receive_loop() {
       PHISH_LOG(kWarn) << "udp: checksum mismatch on " << to_string(id_);
       continue;
     }
+    std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
     Receiver receiver;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -95,6 +95,8 @@ class UdpChannel final : public Channel {
   std::atomic<bool> stopping_{false};
   std::thread receiver_thread_;
 
+  /// Held across each delivery, so set_receiver can wait one out.
+  std::mutex dispatch_mutex_;
   mutable std::mutex mutex_;  // guards receiver_, stats_, rng state
   Receiver receiver_;
   ChannelStats stats_;

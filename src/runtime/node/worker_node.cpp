@@ -204,11 +204,7 @@ void WorkerNode::activate() {
 }
 
 void WorkerNode::steal_if_idle() {
-  if (steal_in_flight_) return;  // the reply callback reschedules
-  attempt_steal();
-}
-
-void WorkerNode::attempt_steal() {
+  // With a steal in flight, its reply callback schedules the next step.
   if (state_ != State::kActive || steal_in_flight_) return;
   std::optional<net::NodeId> victim = pick_victim();
   if (!victim) {
@@ -350,22 +346,7 @@ void WorkerNode::handle_oneway(net::Message&& message) {
     case proto::kShutdown:
       finish_job();
       break;
-    case proto::kMigrate: {
-      if (state_ == State::kDeparted && forward_to_.valid()) {
-        // We left too; pass the cargo to our own successor.
-        rpc_.send_oneway(forward_to_, proto::kMigrate, message.payload);
-        return;
-      }
-      auto migrate = proto::MigrateMsg::decode(message.payload);
-      if (!migrate || state_ != State::kActive) return;
-      driver_.charge_recv();
-      for (Closure& c : migrate->closures) {
-        core_.install_migrated(std::move(c));
-      }
-      driver_.schedule_step(0);
-      break;
-    }
-    default:
+    default:  // cargo moves over the acked kRpcMigrate, never a oneway
       PHISH_LOG(kDebug) << net::to_string(me_) << ": unexpected message type "
                         << message.type;
   }
@@ -476,7 +457,7 @@ void WorkerNode::begin_migration_round() {
   std::vector<Closure> cargo = core_.drain_for_migration();
   std::vector<proto::MigrantLedgerEntry> ledger = core_.export_steal_ledger();
   if (cargo.empty() && ledger.empty()) {
-    finalize_depart(/*cargo_lost=*/false);
+    finalize_depart();
     return;
   }
   const std::uint64_t mid =
@@ -484,13 +465,8 @@ void WorkerNode::begin_migration_round() {
   // Step 1: register the cargo snapshot with the Clearinghouse BEFORE any
   // handoff.  From here on, a crash of ours or the successor's is
   // recoverable: the coordinator redelivers from the ledger.
-  proto::MigrationLedgerMsg reg;
-  reg.migration_id = mid;
-  reg.from = me_;
-  reg.holder = me_;
-  reg.closures = cargo;
-  reg.ledger = ledger;
-  const Bytes payload = reg.encode();
+  const Bytes payload =
+      proto::MigrationLedgerMsg{mid, me_, me_, cargo, ledger}.encode();
   driver_.charge_send(payload.size());
   client_.call(
       proto::kRpcMigrateLedger, payload,
@@ -498,7 +474,7 @@ void WorkerNode::begin_migration_round() {
        ledger = std::move(ledger)](net::RpcResult result) mutable {
         if (incarnation_ != inc || state_ != State::kDeparting) return;
         if (!accepted(result)) {
-          abandon_depart("migration ledger unreachable");
+          finalize_depart("migration ledger unreachable");
           return;
         }
         // The ledger entry exists from here until the coordinator retires
@@ -518,19 +494,15 @@ void WorkerNode::try_handoff(std::uint64_t mid, std::vector<Closure> cargo,
     // Nobody accepted.  The ledger is registered with us as holder, so our
     // (suppressed-unregister) death hands the cargo to the coordinator's
     // redelivery path instead of losing it.
-    abandon_depart("no successor accepted the cargo");
+    finalize_depart("no successor accepted the cargo");
     return;
   }
   const std::size_t pick = rng_.below(candidates.size());
   const net::NodeId successor = candidates[pick];
   candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-  proto::MigrateMsg msg;
-  msg.from = me_;
-  msg.closures = cargo;
-  msg.migration_id = mid;
-  msg.redelivery = false;
-  msg.ledger = ledger;
-  const Bytes payload = msg.encode();
+  const Bytes payload =
+      proto::MigrateMsg{me_, cargo, mid, /*redelivery=*/false, ledger}
+          .encode();
   driver_.charge_send(payload.size());
   // Step 2: acked handoff — the cargo is only considered placed once the
   // successor's reply says it installed it.
@@ -557,19 +529,16 @@ void WorkerNode::confirm_holder(std::uint64_t mid, net::NodeId holder) {
   if (state_ != State::kDeparting) return;
   // Step 3: atomically transfer redo ownership — after this ack the
   // coordinator watches the successor, not us, for this cargo.
-  proto::MigrationLedgerMsg upd;
-  upd.migration_id = mid;
-  upd.from = me_;
-  upd.holder = holder;
   client_.call(
-      proto::kRpcMigrateLedger, upd.encode(),
+      proto::kRpcMigrateLedger,
+      proto::MigrationLedgerMsg{mid, me_, holder, {}, {}}.encode(),
       [this, inc = incarnation_](net::RpcResult result) {
         if (incarnation_ != inc || state_ != State::kDeparting) return;
         if (!accepted(result)) {
           // The successor holds the cargo but the coordinator still lists
           // us: die noisily (no unregister) so it redelivers; the duplicate
           // execution is idempotent at the joins.
-          abandon_depart("holder confirmation unreachable");
+          finalize_depart("holder confirmation unreachable");
           return;
         }
         // A death notice that arrived mid-handshake re-enqueued redo
@@ -579,18 +548,21 @@ void WorkerNode::confirm_holder(std::uint64_t mid, net::NodeId holder) {
       params_.rpc_policy);
 }
 
-void WorkerNode::abandon_depart(const char* why) {
-  PHISH_LOG(kWarn) << net::to_string(me_) << ": departing but " << why
-                   << "; skipping unregister so the failure detector "
-                      "triggers the redo path";
-  finalize_depart(/*cargo_lost=*/true);
+void WorkerNode::end_life(State how) {
+  state_ = how;
+  end_time_ = timers_.now_ns();
+  heartbeat_timer_.stop();
+  update_timer_.stop();
 }
 
-void WorkerNode::finalize_depart(bool cargo_lost) {
-  state_ = State::kDeparted;
-  end_time_ = timers_.now_ns();
-  stop_timers();
-  send_stats_and_unregister(/*unregister=*/!cargo_lost);
+void WorkerNode::finalize_depart(const char* failure) {
+  if (failure != nullptr) {
+    PHISH_LOG(kWarn) << net::to_string(me_) << ": departing but " << failure
+                     << "; skipping unregister so the failure detector "
+                        "triggers the redo path";
+  }
+  end_life(State::kDeparted);
+  send_stats_and_unregister(/*unregister=*/failure == nullptr);
   notify_terminated();
   if (pending_rejoin_) {
     pending_rejoin_ = false;
@@ -662,9 +634,7 @@ Bytes WorkerNode::serve_migrate(const Bytes& args) {
 
 void WorkerNode::finish_job() {
   if (state_ != State::kActive && state_ != State::kRegistering) return;
-  state_ = State::kFinished;
-  end_time_ = timers_.now_ns();
-  stop_timers();
+  end_life(State::kFinished);
   core_.clear_steal_ledger();
   send_stats_and_unregister();
   notify_terminated();
@@ -726,9 +696,7 @@ std::optional<net::NodeId> WorkerNode::pick_victim() {
 void WorkerNode::crash() {
   if (terminated()) return;
   core_.trace_instant(obs::EventType::kCrash, ClosureId{}, 0);
-  state_ = State::kDead;
-  end_time_ = timers_.now_ns();
-  stop_timers();
+  end_life(State::kDead);
   driver_.cancel_step();
   driver_.isolate(true);
   notify_terminated();

@@ -179,9 +179,6 @@ class WorkerNode {
   /// running job.  A restart racing a departure waits for it to complete.
   void rejoin();
 
-  /// Fail every pending RPC now (the owner is tearing down).
-  void shutdown() { rpc_.shutdown(); }
-
   // ---- Driver's step. ----
 
   /// A task ran: the steal-failure streak is over.
@@ -222,8 +219,6 @@ class WorkerNode {
   WorkerCore& core() noexcept { return core_; }
   net::RpcNode& rpc() noexcept { return rpc_; }
   bool steal_in_flight() const noexcept { return steal_in_flight_; }
-  std::uint64_t start_time() const noexcept { return start_time_; }
-  std::uint64_t end_time() const noexcept { return end_time_; }
   /// Lifetime of this participant, the paper's T_P(i).
   std::uint64_t lifetime() const noexcept { return end_time_ - start_time_; }
   std::optional<DepartReason> depart_reason() const noexcept {
@@ -264,7 +259,6 @@ class WorkerNode {
   bool apply_membership(const Bytes& reply, std::uint64_t since);
   /// Common post-registration activation (timers, root, restore, first step).
   void activate();
-  void attempt_steal();
   void on_steal_reply(net::NodeId victim, std::uint64_t steal_seq,
                       net::RpcResult result);
   void handle_oneway(net::Message&& message);
@@ -284,11 +278,11 @@ class WorkerNode {
                    std::vector<proto::MigrantLedgerEntry> ledger,
                    std::vector<net::NodeId> candidates);
   void confirm_holder(std::uint64_t mid, net::NodeId holder);
-  /// Handshake fallback: leave WITHOUT unregistering, so the failure
-  /// detector declares us dead and the standard redo (victims' ledgers, or
-  /// the Clearinghouse's, whichever got far enough) recovers the cargo.
-  void abandon_depart(const char* why);
-  void finalize_depart(bool cargo_lost);
+  /// Become a stub.  On a handshake `failure`, leave WITHOUT unregistering,
+  /// so the failure detector declares us dead and the standard redo
+  /// (victims' ledgers, or the Clearinghouse's, whichever got far enough)
+  /// recovers the cargo.
+  void finalize_depart(const char* failure = nullptr);
   /// Log a post-drain argument fill (ttl decremented, re-encoded) and
   /// forward the unsent tail of the log to the current successor.
   void log_and_forward_fill(proto::ArgumentMsg arg);
@@ -298,10 +292,9 @@ class WorkerNode {
   /// redo machinery fires; a clean goodbye would bury the loss.
   void send_stats_and_unregister(bool unregister = true);
   void refresh_membership();
-  void stop_timers() {
-    heartbeat_timer_.stop();
-    update_timer_.stop();
-  }
+  /// This life is over (`how`: finished, departed or dead): stamp the end
+  /// time and stop the heartbeat and membership timers.
+  void end_life(State how);
   void notify_terminated() {
     if (on_terminated_) on_terminated_(state_);
   }

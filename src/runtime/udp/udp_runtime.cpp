@@ -178,14 +178,6 @@ UdpWorker::~UdpWorker() {
   join();
 }
 
-void UdpWorker::set_root(TaskId task, std::vector<Value> args) {
-  node_.set_root(task, std::move(args));
-}
-
-void UdpWorker::set_recovery_tracker(RecoveryTracker* tracker) {
-  node_.set_recovery_tracker(tracker);
-}
-
 void UdpWorker::start() {
   mailbox_->open();
   thread_ = std::thread([this] { thread_main(); });
@@ -196,10 +188,14 @@ void UdpWorker::post_or_run(std::function<void()> fn) const {
 }
 
 template <typename F>
-auto UdpWorker::on_thread(F fn) const {
+auto UdpWorker::on_thread(F fn, std::chrono::milliseconds patience) const
+    -> std::optional<decltype(fn())> {
   auto reply = std::make_shared<std::promise<decltype(fn())>>();
   auto result = reply->get_future();
   if (!mailbox_->post([fn, reply] { reply->set_value(fn()); })) return fn();
+  if (result.wait_for(patience) != std::future_status::ready) {
+    return std::nullopt;
+  }
   return result.get();
 }
 
@@ -210,42 +206,24 @@ void UdpWorker::request_stop() {
   });
 }
 
-void UdpWorker::kill() {
-  post_or_run([this] { node_.crash(); });
-}
-
-void UdpWorker::evict() {
-  post_or_run([this] { node_.reclaim_by_owner(); });
-}
-
-void UdpWorker::rejoin() {
-  post_or_run([this] { node_.rejoin(); });
-}
-
 void UdpWorker::join() {
   if (thread_.joinable()) thread_.join();
 }
 
 std::uint32_t UdpWorker::incarnation() const {
-  return on_thread([this] { return node_.incarnation(); });
+  return *on_thread([this] { return node_.incarnation(); });
 }
 
 WorkerStats UdpWorker::stats_snapshot() const {
-  return on_thread([this] { return node_.stats(); });
+  return *on_thread([this] { return node_.stats(); });
 }
 
 std::string UdpWorker::describe() const {
   // Bounded: a thread deep in one long task cannot answer, and a stall dump
   // must not become a second stall.
-  auto reply = std::make_shared<std::promise<std::string>>();
-  auto result = reply->get_future();
-  if (!mailbox_->post([this, reply] { reply->set_value(node_.describe()); })) {
-    return node_.describe();
-  }
-  if (result.wait_for(std::chrono::seconds(1)) != std::future_status::ready) {
-    return net::to_string(me_) + ": no reply within 1 s (running a task)";
-  }
-  return result.get();
+  return on_thread([this] { return node_.describe(); },
+                   std::chrono::seconds(1))
+      .value_or(net::to_string(me_) + ": no reply within 1 s (in a task)");
 }
 
 void UdpWorker::schedule_step(std::uint64_t delay) {

@@ -1,19 +1,13 @@
-// The real thing: Phish over UDP/IP sockets.
+// The real thing: Phish over UDP/IP sockets on loopback (DESIGN.md §3.3).
 //
-// This runtime is the paper's prototype re-implemented: every worker is a
-// process-like unit with its own UDP socket (here: its own threads inside
-// one process, on loopback — see DESIGN.md §3.3); the Clearinghouse is an
-// RPC server on its own socket; all dataflow is split-phase datagrams; steal
-// requests are RPCs with retransmission; workers register, heartbeat, fetch
-// membership updates, and unregister; the job's result is delivered reliably
-// and triggers a shutdown broadcast.
-//
-// The same WorkerCore and Clearinghouse classes run here as in the simulated
-// runtime — only the event loop and the clock differ — so the behaviour the
-// benches measure in simulation is the behaviour this code ships on real
-// sockets.
+// Every worker has its own UDP socket and runs the same WorkerNode — the
+// worker protocol — as the simulator; the Clearinghouse is an RPC server on
+// its own socket.  Only the driver differs: real threads and a real clock
+// instead of simulated time, so the protocol the benches measure in
+// simulation is the protocol this code ships on real sockets.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -54,8 +48,7 @@ struct UdpJobConfig {
   double timeout_seconds = 120.0;
   /// Chaos testing: wrap every worker's channel in a FaultyChannel applying
   /// this plan's link rules (drop/duplicate/reorder) to outbound datagrams.
-  /// Node events are ignored here — real time is not scriptable; use the
-  /// simdist runtime for crash/reclaim schedules.
+  /// The plan's node events are ignored; script those in node_events.
   std::optional<net::FaultPlan> fault_plan;
   /// Optional event tracer (wall-clock domain).  Worker i writes to
   /// tracer->shard(i + 1) from its own thread only.  The Clearinghouse is
@@ -67,14 +60,11 @@ struct UdpJobConfig {
   /// promotes itself when the primary misses its lease.
   bool enable_backup = false;
   /// Scripted chaos (e.g. a ChurnPlan's events), in wall-clock ns from job
-  /// start; coarse enough for real time, unlike link faults.
-  /// kCrash kills the worker (index semantics as in NodeEvent; never 0 — it
-  /// carries the root), kReclaim evicts it gracefully (drain through the
-  /// acked migration-ledger handshake, then depart — the same owner-return
-  /// semantics the simdist runtime scripts), kRestart rejoins it as a fresh
-  /// incarnation, worker == net::kCoordinatorWorker with kCrash halts the
-  /// primary (the job survives that only with enable_backup).
-  /// kPartition/kHeal are ignored: real sockets have no scriptable cut.
+  /// start.  kCrash kills worker `worker` (never 0: it carries the root),
+  /// kReclaim evicts it gracefully, kRestart rejoins it as a fresh
+  /// incarnation; kCrash of net::kCoordinatorWorker halts the primary (the
+  /// job survives that only with enable_backup).  kPartition/kHeal are
+  /// ignored: real sockets have no scriptable cut.
   std::vector<net::NodeEvent> node_events;
 };
 
@@ -110,11 +100,15 @@ class UdpWorker final : private WorkerNode::Driver {
   UdpWorker& operator=(const UdpWorker&) = delete;
 
   /// Give this worker the job's root task (before start()).
-  void set_root(TaskId task, std::vector<Value> args);
+  void set_root(TaskId task, std::vector<Value> args) {
+    node_.set_root(task, std::move(args));
+  }
 
   /// MTTR instrumentation: fires on every successful steal (the tracker
   /// ignores steals outside a recovery window).  Before start().
-  void set_recovery_tracker(RecoveryTracker* tracker);
+  void set_recovery_tracker(RecoveryTracker* tracker) {
+    node_.set_recovery_tracker(tracker);
+  }
 
   /// Launch the worker thread; the node registers with the Clearinghouse.
   void start();
@@ -126,17 +120,23 @@ class UdpWorker final : private WorkerNode::Driver {
   /// Simulate a machine crash: drop all traffic both ways at the RPC layer,
   /// with no unregister and no stats report — the Clearinghouse must find
   /// out the hard way (missed heartbeats).
-  void kill();
+  void kill() {
+    post_or_run([this] { node_.crash(); });
+  }
 
   /// Graceful owner reclaim: drain the closures and steal ledger through
   /// the acked migration handshake and depart, leaving a forwarding stub.
-  void evict();
+  void evict() {
+    post_or_run([this] { node_.reclaim_by_owner(); });
+  }
 
   /// Bring a killed or evicted worker back as a fresh incarnation: the core
   /// is reset (survivors redo the dead life's work) and the node
   /// re-registers into the running job.  The forwarding stub and its fill
   /// log survive into the new life.
-  void rejoin();
+  void rejoin() {
+    post_or_run([this] { node_.rejoin(); });
+  }
 
   /// Block until the worker thread exits (after request_stop()).
   void join();
@@ -163,9 +163,12 @@ class UdpWorker final : private WorkerNode::Driver {
   void step();
   /// Run `fn` on the worker thread, or here when no thread runs the node.
   void post_or_run(std::function<void()> fn) const;
-  /// Run `fn` on the worker thread and return its result.
+  /// Run `fn` on the worker thread (or here, if none runs the node) and
+  /// return its result; nullopt if the thread does not answer in time.
   template <typename F>
-  auto on_thread(F fn) const;
+  auto on_thread(F fn, std::chrono::milliseconds patience =
+                           std::chrono::hours(24)) const
+      -> std::optional<decltype(fn())>;
 
   net::NodeId me_;
   net::UdpChannel& udp_;

@@ -34,7 +34,9 @@ rt::UdpJobConfig udp_failover_config(std::uint64_t seed) {
   cfg.clearinghouse.lease_timeout_ns = 400'000'000ULL;
   cfg.clearinghouse.lease_check_period_ns = 100'000'000ULL;
   cfg.heartbeat_period_ns = 200'000'000ULL;
-  cfg.timeout_seconds = 60.0;
+  // Below the chaos ctest TIMEOUT (45 s): a hang ends with the watchdog's
+  // per-worker state dump, not a bare ctest Timeout.
+  cfg.timeout_seconds = 30.0;
   return cfg;
 }
 
@@ -115,7 +117,7 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
 
   rt::UdpJobConfig cfg;
   cfg.workers = 1;
-  cfg.rpc_policy = net::RetryPolicy{50'000'000, 3, 1.5};  // bounds rejoin()
+  cfg.rpc_policy = net::RetryPolicy{50'000'000, 3, 1.5};  // bounds each call
   rt::UdpWorker worker(network, timers, reg, net::NodeId{1}, {ch_node}, cfg,
                        /*seed=*/0x5eed'1234ULL);
   worker.start();
@@ -168,7 +170,7 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
   ASSERT_TRUE(call_migrate(first)) << "live worker must accept the handoff";
 
   worker.kill();
-  worker.rejoin();  // blocks until the dead life's thread is gone
+  worker.rejoin();  // both run on the worker's thread, in order
   ASSERT_EQ(worker.incarnation(), 2u);
 
   proto::MigrateMsg redelivered;
@@ -176,7 +178,13 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
   redelivered.closures.push_back(make_waiting_cargo());
   redelivered.migration_id = mid;
   redelivered.redelivery = true;
-  ASSERT_TRUE(call_migrate(redelivered));
+  // The new incarnation refuses cargo until its re-registration completes
+  // (a refusal installs nothing); the coordinator would retry, so do we.
+  while (!call_migrate(redelivered)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the rejoined worker never accepted the redelivery";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GE(worker.stats_snapshot().tasks_migration_redone, 1u)
       << "the rejoined incarnation deduped the redelivery against the dead "
          "life's installs: the cargo was acked but never installed";

@@ -229,7 +229,8 @@ ChaosOutcome run_udp(const ChaosCase& c) {
   // make an exhausted call astronomically unlikely (~(0.24)^12).
   cfg.rpc_policy = {30'000'000, 12, 1.5};
   cfg.clearinghouse.detect_failures = false;
-  cfg.timeout_seconds = 60.0;
+  // Below the chaos ctest TIMEOUT (45 s), so a hang reports its dump.
+  cfg.timeout_seconds = 30.0;
 
   TaskRegistry reg;
   const AppSpec spec = register_app(reg, c.app);

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 
 #include "apps/apps.hpp"
+#include "obs/tracer.hpp"
 
 namespace phish::rt {
 namespace {
@@ -21,7 +23,9 @@ UdpJobConfig config_for(int workers) {
   // ctest processes can never collide no matter how many run at once.
   cfg.net.base_port = 0;
   cfg.clearinghouse.detect_failures = false;
-  cfg.timeout_seconds = 60.0;
+  // Below the tier1 ctest TIMEOUT (30 s): a hang ends with the watchdog's
+  // per-worker state dump, not a bare ctest Timeout.
+  cfg.timeout_seconds = 20.0;
   return cfg;
 }
 
@@ -103,6 +107,30 @@ TEST(UdpRuntime, StatsShapeMatchesPaper) {
   EXPECT_LT(a.non_local_synchs, a.synchronizations)
       << "most synchronizations stay local";
   EXPECT_LT(a.max_tasks_in_use, 500u);
+}
+
+TEST(UdpRuntime, TracedEventCountsMatchWorkerStats) {
+  // One thread per worker writes its trace shard (the node's core and its
+  // RpcNode alike), so the rings see every event exactly once.
+  if (!PHISH_OBS_TRACING) GTEST_SKIP() << "built with PHISH_OBS_TRACING=0";
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/15);
+  obs::Tracer tracer;
+  UdpJobConfig cfg = config_for(4);
+  cfg.tracer = &tracer;
+  UdpJob job(reg, cfg);
+  const auto result = job.run(root, {Value(std::int64_t{30})});
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(30));
+  ASSERT_EQ(tracer.total_dropped(), 0u);
+  std::map<obs::EventType, std::uint64_t> counts;
+  for (const obs::TraceEvent& e : tracer.collect()) {
+    ++counts[static_cast<obs::EventType>(e.type)];
+  }
+  const WorkerStats& agg = result.aggregate;
+  EXPECT_EQ(counts[obs::EventType::kExecute], agg.tasks_executed);
+  EXPECT_EQ(counts[obs::EventType::kStealServed], agg.tasks_stolen_from_me);
+  EXPECT_EQ(counts[obs::EventType::kStealSuccess], agg.tasks_stolen_by_me);
+  EXPECT_GT(agg.tasks_stolen_by_me, 0u) << "vacuous: nothing was stolen";
 }
 
 TEST(UdpRuntime, RejectsZeroWorkers) {
