@@ -110,10 +110,6 @@ WorkerNode::WorkerNode(net::Channel& channel, net::TimerService& timers,
   });
 }
 
-void WorkerNode::set_root(TaskId task, std::vector<Value> args) {
-  root_ = std::make_pair(task, std::move(args));
-}
-
 void WorkerNode::start() {
   if (state_ != State::kCreated) return;
   state_ = State::kRegistering;

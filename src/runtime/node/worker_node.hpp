@@ -150,7 +150,9 @@ class WorkerNode {
 
   /// Give this worker the job's root task; it is spawned once registration
   /// completes (only one participant of a job should carry a root).
-  void set_root(TaskId task, std::vector<Value> args);
+  void set_root(TaskId task, std::vector<Value> args) {
+    root_ = std::make_pair(task, std::move(args));
+  }
 
   /// Checkpoint restore: install a WorkerCore state (export_state from the
   /// same node id) once registration completes.  Mutually exclusive with

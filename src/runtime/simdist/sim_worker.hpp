@@ -38,6 +38,9 @@ class SimWorker final : private WorkerNode::Driver, public WorkerNode {
             ExecOrder exec_order = ExecOrder::kLifo,
             StealOrder steal_order = StealOrder::kFifo);
 
+  /// Fails pending RPCs while the fields their completions touch are alive.
+  ~SimWorker() { rpc().shutdown(); }
+
   /// True when this worker holds nothing that a checkpoint would miss:
   /// no buffered sends awaiting their task-cost flush and no steal RPC
   /// outstanding.  (The network's own in-flight count is checked by the

@@ -49,24 +49,17 @@ class UdpWorker::Mailbox {
   }
 
   /// Worker thread: everything posted so far, waiting up to `wait_ns` for
-  /// the first item.
-  std::vector<std::function<void()>> take(std::uint64_t wait_ns) {
+  /// the first item.  With `close` (the thread is exiting) and nothing
+  /// left, close the box: every later post fails, and its caller runs the
+  /// work itself.
+  std::vector<std::function<void()>> take(std::uint64_t wait_ns,
+                                          bool close = false) {
     std::vector<std::function<void()>> out;
-    if (wait_ns == 0 && !pending()) return out;
+    if (wait_ns == 0 && !close && !pending()) return out;
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait_for(lock, std::chrono::nanoseconds(wait_ns),
                  [this] { return !items_.empty(); });
-    out.swap(items_);
-    pending_.store(false, std::memory_order_release);
-    return out;
-  }
-
-  /// Worker thread, exiting: what is left, or — when nothing is — close, so
-  /// every later post fails and its caller runs the work itself.
-  std::vector<std::function<void()>> take_or_close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) open_ = false;
-    std::vector<std::function<void()>> out;
+    if (close && items_.empty()) open_ = false;
     out.swap(items_);
     pending_.store(false, std::memory_order_release);
     return out;
@@ -176,6 +169,7 @@ UdpWorker::UdpWorker(net::UdpNetwork& network, net::TimerService& timers,
 UdpWorker::~UdpWorker() {
   request_stop();
   join();
+  node_.rpc().shutdown();  // while the fields completions touch are alive
 }
 
 void UdpWorker::start() {
@@ -251,7 +245,7 @@ void UdpWorker::thread_main() {
     }
   }
   for (;;) {
-    auto rest = mailbox_->take_or_close();
+    auto rest = mailbox_->take(0, /*close=*/true);
     if (rest.empty()) break;
     for (auto& item : rest) item();
   }

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -51,6 +52,31 @@ TEST(UdpNet, DeliversDatagram) {
   EXPECT_EQ(got.messages[0].type, 42);
   Reader r(got.messages[0].payload);
   EXPECT_EQ(r.str(), "hello over real udp");
+}
+
+TEST(UdpNet, SetReceiverWaitsOutADeliveryInProgress) {
+  // An RpcNode detaches its receiver in its destructor; the receiver thread
+  // must be out of the old receiver by then, or it runs on freed memory.
+  UdpParams p;
+  p.base_port = 0;
+  UdpNetwork net(p);
+  auto& a = net.channel(NodeId{0});
+  auto& b = net.channel(NodeId{1});
+  std::atomic<bool> entered{false}, finished{false};
+  b.set_receiver([&](Message&&) {
+    entered = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished = true;
+  });
+  a.send(NodeId{1}, 1, {});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!entered) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  b.set_receiver({});
+  EXPECT_TRUE(finished) << "set_receiver returned mid-delivery";
 }
 
 TEST(UdpNet, BidirectionalTraffic) {

@@ -133,6 +133,26 @@ TEST(UdpRuntime, TracedEventCountsMatchWorkerStats) {
   EXPECT_GT(agg.tasks_stolen_by_me, 0u) << "vacuous: nothing was stolen";
 }
 
+TEST(UdpRuntime, WatchdogReportsEachWorkersProtocolState) {
+  // A job that cannot finish in time must say where it is: one line per
+  // worker, asked of the worker's own thread.
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/40);
+  UdpJobConfig cfg = config_for(2);
+  cfg.timeout_seconds = 0.05;  // fib(38) as one serial task outlasts this
+  UdpJob job(reg, cfg);
+  try {
+    job.run(root, {Value(std::int64_t{38})});
+    FAIL() << "the watchdog did not fire";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job timed out"), std::string::npos) << what;
+    EXPECT_NE(what.find("n1: "), std::string::npos) << what;
+    EXPECT_NE(what.find("n2: "), std::string::npos) << what;
+    EXPECT_NE(what.find("steal_ledger="), std::string::npos) << what;
+  }
+}
+
 TEST(UdpRuntime, RejectsZeroWorkers) {
   TaskRegistry reg;
   EXPECT_THROW(UdpJob(reg, [] {
