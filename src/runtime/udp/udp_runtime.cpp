@@ -228,9 +228,8 @@ void UdpWorker::schedule_step(std::uint64_t delay) {
 }
 
 void UdpWorker::thread_main() {
-  // With no step due the thread sleeps until something is posted; the cap
-  // only bounds how long a lost wakeup could go unnoticed.
-  constexpr std::uint64_t kIdleWaitNs = 100'000'000;
+  // With no step due, the thread sleeps until something is posted.
+  constexpr std::uint64_t kIdleWaitNs = 1'000'000'000;
   node_.start();
   while (!stop_) {
     std::uint64_t wait_ns = kIdleWaitNs;
