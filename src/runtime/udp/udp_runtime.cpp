@@ -7,7 +7,6 @@
 #include <future>
 #include <mutex>
 
-#include "core/clearinghouse.hpp"
 #include "util/timer.hpp"
 
 namespace phish::rt {
