@@ -201,22 +201,6 @@ void BM_WorkerCoreSpawnExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkerCoreSpawnExecute)->Arg(0)->Arg(4096);
 
-void BM_WorkerCoreSpawnExecuteHeapMode(benchmark::State& state) {
-  // The seed allocation behavior: no pool, eager ids.  The delta against
-  // BM_WorkerCoreSpawnExecute is what the pooled hot path buys.
-  TaskRegistry& registry = leaf_registry();
-  const TaskId leaf = registry.id_of("leaf");
-  CoreOptions options;
-  options.lazy_spawn = false;
-  options.pooled_alloc = false;
-  WorkerCore core(net::NodeId{0}, registry, null_hooks(), options);
-  for (auto _ : state) {
-    spawn_execute_burst(core, leaf, 64, state.range(0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_WorkerCoreSpawnExecuteHeapMode)->Arg(0)->Arg(4096);
-
 void BM_WorkerCoreSpawnExecuteTraced(benchmark::State& state) {
   TaskRegistry& registry = leaf_registry();
   const TaskId leaf = registry.id_of("leaf");
@@ -282,15 +266,12 @@ double calibration_ns_per_op() {
   return secs * 1e9 / static_cast<double>(kOps);
 }
 
-double spawn_execute_ns_per_task(const CoreOptions* options) {
+double spawn_execute_ns_per_task() {
   TaskRegistry& registry = leaf_registry();
   const TaskId leaf = registry.id_of("leaf");
   constexpr std::uint64_t kBursts = 4096, kBurst = 64;
   const double secs = bench::time_best_of(5, [&] {
-    WorkerCore core =
-        options != nullptr
-            ? WorkerCore(net::NodeId{0}, registry, null_hooks(), *options)
-            : WorkerCore(net::NodeId{0}, registry, null_hooks());
+    WorkerCore core(net::NodeId{0}, registry, null_hooks());
     for (std::uint64_t b = 0; b < kBursts; ++b) {
       spawn_execute_burst(core, leaf, kBurst, 0);
     }
@@ -377,28 +358,22 @@ double steal_concurrent_ns_per_task() {
 void emit_deque_micro_report() {
   obs::BenchReport report("deque_micro");
   const double cal = calibration_ns_per_op();
-  const double pooled = spawn_execute_ns_per_task(nullptr);
-  CoreOptions heap;
-  heap.lazy_spawn = false;
-  heap.pooled_alloc = false;
-  const double heap_ns = spawn_execute_ns_per_task(&heap);
+  const double spawn = spawn_execute_ns_per_task();
   const double join = join_fill_ns_per_task();
   const double steal = steal_serve_ns_per_task();
   const double steal_cl = steal_concurrent_ns_per_task();
   report.set("calibration.ns_per_op", cal);
-  report.set("spawn_execute.ns_per_task", pooled);
-  report.set("spawn_execute_heap.ns_per_task", heap_ns);
+  report.set("spawn_execute.ns_per_task", spawn);
   report.set("join_fill.ns_per_task", join);
   report.set("steal_serve.ns_per_task", steal);
   report.set("steal_concurrent.ns_per_task", steal_cl);
-  report.set("spawn_execute.ops_per_calibration_op", pooled / cal);
+  report.set("spawn_execute.ops_per_calibration_op", spawn / cal);
   report.set("join_fill.ops_per_calibration_op", join / cal);
   report.set("steal_serve.ops_per_calibration_op", steal / cal);
   report.set("steal_concurrent.ops_per_calibration_op", steal_cl / cal);
   report.write();
   bench::kv("deque_micro.calibration.ns_per_op", cal);
-  bench::kv("deque_micro.spawn_execute.ns_per_task", pooled);
-  bench::kv("deque_micro.spawn_execute_heap.ns_per_task", heap_ns);
+  bench::kv("deque_micro.spawn_execute.ns_per_task", spawn);
   bench::kv("deque_micro.join_fill.ns_per_task", join);
   bench::kv("deque_micro.steal_serve.ns_per_task", steal);
   bench::kv("deque_micro.steal_concurrent.ns_per_task", steal_cl);

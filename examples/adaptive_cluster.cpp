@@ -2,7 +2,8 @@
 // synthetic owners join jobs when idle and leave when reclaimed, exactly the
 // paper's Figure 2 deployment.  Two pfold jobs are submitted to the
 // PhishJobQ; each workstation runs a PhishJobManager over a random
-// (Poisson-session) owner trace.
+// (Poisson-session) owner trace.  Every job's histogram is checked against
+// the serial reference (exit status 1 on a mismatch or a missing job).
 //
 //   build/examples/adaptive_cluster [--workstations=8] [--jobs=2]
 //                                   [--polymer=16] [--seed=3]
@@ -54,9 +55,11 @@ int main(int argc, char** argv) {
   std::printf("%d workstations with random owners, %d pfold(%lld) jobs\n\n",
               workstations, jobs, static_cast<long long>(polymer));
   const Histogram expected = apps::pfold_serial(static_cast<int>(polymer));
+  bool all_exact = records.size() == static_cast<std::size_t>(jobs);
   for (const auto& r : records) {
     const bool exact =
         apps::decode_histogram(r.result.as_blob()) == expected;
+    all_exact = all_exact && exact;
     std::printf("job %-10s submitted %.1fs completed %.2fs turnaround %.2fs "
                 "workstation-joins %llu result %s\n",
                 r.name.c_str(), sim::to_seconds(r.submitted_at),
@@ -81,5 +84,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(q.requests),
               static_cast<unsigned long long>(q.assignments),
               static_cast<unsigned long long>(q.empty_replies));
-  return 0;
+  return all_exact ? 0 : 1;
 }

@@ -4,11 +4,14 @@
 // its continuation, or spawns children that feed a join closure which sends
 // onward.  This example defines doubly-recursive Fibonacci exactly the way a
 // Phish application would have been written in 1994 (minus the C
-// preprocessor), then runs it on the shared-memory threads runtime.
+// preprocessor), then runs it on the shared-memory threads runtime and
+// checks the answer against a serial Fibonacci (exit status 1 on a
+// mismatch).
 //
 //   build/examples/quickstart [--n=28] [--workers=4]
 #include <cstdio>
 
+#include "apps/fib/fib.hpp"
 #include "core/task_registry.hpp"
 #include "core/worker_core.hpp"
 #include "runtime/threads/threads_runtime.hpp"
@@ -46,9 +49,11 @@ int main(int argc, char** argv) {
   config.workers = workers;
   rt::ThreadsRuntime runtime(registry, config);
   const auto result = runtime.run(fib, {Value(n)});
+  const bool exact = result.value.as_int() == apps::fib_serial(n);
 
-  std::printf("fib(%lld) = %lld\n", static_cast<long long>(n),
-              static_cast<long long>(result.value.as_int()));
+  std::printf("fib(%lld) = %lld   result %s\n", static_cast<long long>(n),
+              static_cast<long long>(result.value.as_int()),
+              exact ? "exact" : "WRONG");
   std::printf("workers            %d\n", workers);
   std::printf("elapsed            %.3f s\n", result.elapsed_seconds);
   std::printf("tasks executed     %llu\n",
@@ -59,5 +64,5 @@ int main(int argc, char** argv) {
   std::printf("max tasks in use   %llu   (LIFO keeps this ~ recursion depth)\n",
               static_cast<unsigned long long>(
                   result.aggregate.max_tasks_in_use));
-  return 0;
+  return exact ? 0 : 1;
 }

@@ -107,22 +107,22 @@ class ChaseLevDeque {
     return unbox(item);
   }
 
-  /// Any thread: steal up to `max` items in one call, capped at half of the
+  /// Any thread: steal up to `max` items into `out`, capped at half of the
   /// (approximate) current size — steal-half — but at least one attempt.
   /// Each item is still taken with its own CAS, so the usual Chase–Lev
   /// guarantees hold per item; the batch is not atomic as a whole, which is
   /// fine for work stealing (a half-batch is just a smaller steal).
-  /// Returns the number of items appended to `out`.
-  std::size_t steal_batch(std::vector<T>& out, std::size_t max) {
+  /// Returns the number of items written to `out`.
+  std::size_t steal_batch(T* out, std::size_t max) {
     if (max == 0) return 0;
     std::size_t want = size_approx() / 2;
     if (want < 1) want = 1;
     if (want > max) want = max;
     std::size_t got = 0;
-    for (; got < want; ++got) {
+    while (got < want) {
       auto item = steal();
       if (!item) break;
-      out.push_back(std::move(*item));
+      out[got++] = std::move(*item);
     }
     return got;
   }

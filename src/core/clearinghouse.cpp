@@ -7,6 +7,21 @@
 #include "util/log.hpp"
 
 namespace phish {
+namespace {
+
+/// Retransmission policies for replication deltas and for reliable control
+/// notices (death notices, new-primary announcements, reroutes).
+constexpr net::RetryPolicy kReplicatePolicy{};
+constexpr net::RetryPolicy kControlPolicy{};
+/// Cap on the io/stats tail entries shipped per delta (bounds frame size;
+/// the ack watermarks carry the rest on later ticks).
+constexpr std::size_t kMaxDeltaTail = 256;
+/// Bounded per-epoch membership change log backing delta replies
+/// (MembershipUpdate).  A worker whose known epoch fell off the log gets a
+/// full snapshot instead — correctness never depends on log depth.
+constexpr std::size_t kMembershipLogLimit = 256;
+
+}  // namespace
 
 Clearinghouse::Clearinghouse(net::RpcNode& rpc, net::TimerService& timers,
                              ClearinghouseConfig config)
@@ -410,7 +425,7 @@ void Clearinghouse::send_retirements(
         proto::ControlMsg{proto::ControlMsg::kMigrationRetired, origin, mid}
             .encode();
     rpc_.call(origin, proto::kRpcControl, notice, [](net::RpcResult) {},
-              config_.control_policy);
+              kControlPolicy);
   }
 }
 
@@ -541,16 +556,16 @@ void Clearinghouse::send_redeliveries(std::vector<PendingRedelivery> sends) {
                 proto::ControlMsg{proto::ControlMsg::kReroute, target, mid}
                     .encode();
             rpc_.call(origin, proto::kRpcControl, reroute,
-                      [](net::RpcResult) {}, config_.control_policy);
+                      [](net::RpcResult) {}, kControlPolicy);
           }
         },
-        config_.control_policy);
+        kControlPolicy);
   }
 }
 
 void Clearinghouse::log_change_locked(net::NodeId node, bool joined) {
   change_log_.push_back(EpochChange{epoch_, node, joined});
-  while (change_log_.size() > config_.membership_log_limit) {
+  while (change_log_.size() > kMembershipLogLimit) {
     change_log_.pop_front();
   }
 }
@@ -776,7 +791,7 @@ void Clearinghouse::broadcast_death(net::NodeId dead,
       proto::ControlMsg{proto::ControlMsg::kDeadNotice, dead, view}.encode();
   for (net::NodeId p : to) {
     rpc_.call(p, proto::kRpcControl, payload, [](net::RpcResult) {},
-              config_.control_policy);
+              kControlPolicy);
   }
 }
 
@@ -798,12 +813,12 @@ void Clearinghouse::replicate_tick() {
     d.result = result_;
     d.io_base = io_acked_;
     for (std::size_t i = io_acked_;
-         i < io_log_.size() && d.io.size() < config_.max_delta_tail; ++i) {
+         i < io_log_.size() && d.io.size() < kMaxDeltaTail; ++i) {
       d.io.push_back(io_log_[i]);
     }
     d.stats_base = stats_acked_;
     for (std::size_t i = stats_acked_;
-         i < stats_reports_.size() && d.stats.size() < config_.max_delta_tail;
+         i < stats_reports_.size() && d.stats.size() < kMaxDeltaTail;
          ++i) {
       d.stats.push_back(stats_reports_[i]);
     }
@@ -852,7 +867,7 @@ void Clearinghouse::replicate_tick() {
           rpc_.set_paused(true);
         }
       },
-      config_.replicate_policy);
+      kReplicatePolicy);
 }
 
 void Clearinghouse::lease_tick() {
@@ -924,7 +939,7 @@ void Clearinghouse::promote() {
           .encode();
   for (net::NodeId p : targets) {
     rpc_.call(p, proto::kRpcControl, announce, [](net::RpcResult) {},
-              config_.control_policy);
+              kControlPolicy);
   }
   send_redeliveries(std::move(redeliveries));
   if (tracker_ != nullptr) tracker_->note_promote(now);

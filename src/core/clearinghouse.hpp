@@ -48,17 +48,6 @@ struct ClearinghouseConfig {
   /// Standby: promote once no delta has arrived for this long.
   std::uint64_t lease_timeout_ns = 1'000'000'000ULL;  // 1 s
   std::uint64_t lease_check_period_ns = 250'000'000ULL;
-  /// Retransmission policies for replication deltas and for reliable
-  /// control notices (death notices, new-primary announcements).
-  net::RetryPolicy replicate_policy{};
-  net::RetryPolicy control_policy{};
-  /// Cap on the io/stats tail entries shipped per delta (bounds frame size;
-  /// the ack watermarks carry the rest on later ticks).
-  std::size_t max_delta_tail = 256;
-  /// Bounded per-epoch membership change log backing delta replies
-  /// (MembershipUpdate).  A worker whose known epoch fell off the log gets
-  /// a full snapshot instead — correctness never depends on log depth.
-  std::size_t membership_log_limit = 256;
 };
 
 /// Root continuation for a job whose Clearinghouse lives at `ch`.
@@ -206,8 +195,8 @@ class Clearinghouse {
   std::map<net::NodeId, std::uint64_t> join_times_;
   std::vector<net::NodeId> dead_;
   /// One entry per epoch bump: who changed and in which direction.  Bounded
-  /// by config_.membership_log_limit; deltas that would reach past the
-  /// oldest retained entry fall back to a full snapshot.
+  /// by kMembershipLogLimit (clearinghouse.cpp); deltas that would reach
+  /// past the oldest retained entry fall back to a full snapshot.
   struct EpochChange {
     std::uint64_t epoch;
     net::NodeId node;

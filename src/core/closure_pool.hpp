@@ -14,10 +14,6 @@
 // Threading: a pool belongs to one WorkerCore and is guarded by whatever
 // external synchronization guards that core (WorkerCore is documented as
 // externally synchronized; victims serve steals under their own lock).
-//
-// `pooled(false)` switches to plain new/delete per closure — the seed's
-// allocation behavior — so the differential tests can run both paths through
-// identical scheduler code.
 #pragma once
 
 #include <cstddef>
@@ -39,21 +35,9 @@ class ClosurePool {
     std::uint64_t live = 0;            // acquired and not yet released
   };
 
-  explicit ClosurePool(bool pooled = true,
-                       std::size_t first_chunk_size = kDefaultFirstChunk)
-      : pooled_(pooled), next_chunk_size_(first_chunk_size) {}
-
+  ClosurePool() = default;
   ClosurePool(const ClosurePool&) = delete;
   ClosurePool& operator=(const ClosurePool&) = delete;
-
-  ~ClosurePool() {
-    if (!pooled_) {
-      // Heap mode: anything not released is a leak the sanitizers flag at
-      // the owner's level; the pool itself holds nothing.
-      return;
-    }
-    // Chunks own every closure, live or free; their dtors run here.
-  }
 
   /// A pristine closure (id invalid, no args).  Never fails; grows by
   /// doubling when the freelist and the current chunk are exhausted.
@@ -61,13 +45,13 @@ class ClosurePool {
   /// The freelist hit is the steady-state path (every spawn after warm-up)
   /// and every caller immediately stores through the returned pointer, so
   /// the load chain that produces it must be short and inline: with the
-  /// grow/heap paths outlined, this body is small enough that the compiler
+  /// grow path outlined, this body is small enough that the compiler
   /// inlines it into every spawn site instead of emitting a call whose
   /// prologue sits on the pointer's dependency chain.
   Closure* acquire() {
     ++stats_.acquires;
     ++stats_.live;
-    if (__builtin_expect(pooled_ && !freelist_.empty(), 1)) {
+    if (__builtin_expect(!freelist_.empty(), 1)) {
       ++stats_.freelist_reuses;
       Closure* c = freelist_.back();
       freelist_.pop_back();
@@ -77,24 +61,20 @@ class ClosurePool {
   }
 
   /// Return a closure.  Clears it (freeing any blob payloads) and keeps it
-  /// for reuse; in heap mode, deletes it.
+  /// for reuse.  Chunks own every closure, live or free, until the pool
+  /// dies.
   void release(Closure* c) {
     --stats_.live;
-    if (!pooled_) {
-      delete c;
-      return;
-    }
     c->recycle();
     freelist_.push_back(c);
   }
 
-  bool pooled() const noexcept { return pooled_; }
   const Stats& stats() const noexcept { return stats_; }
 
   /// Visit every slot ever carved (live or free; free slots have an invalid
-  /// id).  Pooled mode only — heap mode owns nothing.  Used by the owner at
-  /// cold moments (migration, export, rejoin) to find closures that skipped
-  /// eager bookkeeping; never concurrent with acquire/release.
+  /// id).  Used by the owner at cold moments (migration, export, rejoin) to
+  /// find closures that skipped eager bookkeeping; never concurrent with
+  /// acquire/release.
   template <typename F>
   void for_each_slot(F&& f) {
     for (std::size_t k = 0; k < chunks_.size(); ++k) {
@@ -104,13 +84,12 @@ class ClosurePool {
     }
   }
 
-  static constexpr std::size_t kDefaultFirstChunk = 64;
+  static constexpr std::size_t kFirstChunk = 64;
   static constexpr std::size_t kMaxChunkSize = 1u << 16;
 
  private:
-  /// Heap mode and arena growth, kept out of the inlined fast path.
+  /// Arena growth, kept out of the inlined fast path.
   __attribute__((noinline)) Closure* acquire_slow_() {
-    if (!pooled_) return new Closure();
     if (chunks_.empty() || carved_ == current_chunk_size_) {
       chunks_.push_back(std::make_unique<Closure[]>(next_chunk_size_));
       chunk_sizes_.push_back(next_chunk_size_);
@@ -124,12 +103,11 @@ class ClosurePool {
     return &chunks_.back()[carved_++];
   }
 
-  bool pooled_;
   std::vector<std::unique_ptr<Closure[]>> chunks_;
   std::vector<std::size_t> chunk_sizes_;
   std::size_t current_chunk_size_ = 0;
   std::size_t carved_ = 0;
-  std::size_t next_chunk_size_;
+  std::size_t next_chunk_size_ = kFirstChunk;
   std::vector<Closure*> freelist_;
   Stats stats_;
 };

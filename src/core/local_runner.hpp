@@ -31,8 +31,8 @@ class LocalRunner {
       : core_(net::NodeId{0}, registry, make_hooks(), exec_order,
               steal_order) {}
 
-  /// Full policy control (the differential tests run every CoreOptions
-  /// combination through identical graphs).
+  /// Full policy control (the differential tests run both deque backends
+  /// through identical graphs).
   LocalRunner(const TaskRegistry& registry, const CoreOptions& options)
       : core_(net::NodeId{0}, registry, make_hooks(), options) {}
 

@@ -113,20 +113,24 @@ struct DeadMsg {
 };
 
 /// One steal-ledger entry travelling with a migration: the migrator's redo
-/// snapshot for a task stolen by `thief`.  The successor adopts it into its
-/// own steal ledger so a later death of the thief still triggers redo even
-/// though the original victim has departed.
+/// snapshot for a task stolen by `thief` in its steal call `steal_seq`.  The
+/// successor adopts it into its own steal ledger so a later death of the
+/// thief, or its cancel of that steal call, still triggers redo even though
+/// the original victim has departed.
 struct MigrantLedgerEntry {
   net::NodeId thief;
+  std::uint64_t steal_seq = 0;
   Closure snapshot;
 
   void encode(Writer& w) const {
     w.u32(thief.value);
+    w.u64(steal_seq);
     snapshot.encode(w);
   }
   static MigrantLedgerEntry decode(Reader& r) {
     MigrantLedgerEntry e;
     e.thief = net::NodeId{r.u32()};
+    e.steal_seq = r.u64();
     e.snapshot = Closure::decode(r);
     return e;
   }

@@ -14,10 +14,8 @@ WorkerCore::WorkerCore(net::NodeId me, const TaskRegistry& registry,
       task_entries_(registry.entries()),
       task_limit_(static_cast<std::uint32_t>(registry.size())),
       hooks_(std::move(hooks)),
-      options_(options),
-      pool_(options.pooled_alloc),
       deque_(options.exec_order, options.steal_order),
-      fused_(options.fused_spawn && options.exec_order == ExecOrder::kLifo) {
+      fused_(options.exec_order == ExecOrder::kLifo) {
   if (!hooks_.send_remote) {
     throw std::invalid_argument("WorkerCore: send_remote hook is required");
   }
@@ -54,12 +52,6 @@ void WorkerCore::local_send_unknown_(const ClosureId& target) {
   PHISH_LOG(kError) << "local send to unknown closure " << to_string(target);
 }
 
-std::optional<Closure> WorkerCore::try_steal(net::NodeId thief) {
-  std::vector<Closure> got = try_steal_batch(thief, 1);
-  if (got.empty()) return std::nullopt;
-  return std::move(got.front());
-}
-
 std::vector<Closure> WorkerCore::try_steal_batch(net::NodeId thief,
                                                  std::uint32_t max_tasks,
                                                  std::uint64_t steal_seq) {
@@ -69,22 +61,12 @@ std::vector<Closure> WorkerCore::try_steal_batch(net::NodeId thief,
   if (max_tasks > kMaxStealBatch) max_tasks = kMaxStealBatch;
   // Externally synchronized with the owner (the runtimes' contract for this
   // call), so the fused register can be demoted and the full list stolen
-  // from — semantics identical to the unfused guarded deque.
+  // from — semantics identical to a plain deque.
   demote_next_();
   Closure* taken[kMaxStealBatch];
-  std::size_t got = 0;
-  if (lockfree_) {
-    std::size_t want = lockfree_->size_approx() / 2;
-    if (want < 1) want = 1;
-    if (want > max_tasks) want = max_tasks;
-    while (got < want) {
-      auto c = lockfree_->steal();
-      if (!c) break;
-      taken[got++] = *c;
-    }
-  } else {
-    got = deque_.pop_for_steal_batch(taken, max_tasks);
-  }
+  const std::size_t got =
+      lockfree_ ? lockfree_->steal_batch(taken, max_tasks)
+                : deque_.pop_for_steal_batch(taken, max_tasks);
   out.reserve(got);
   for (std::size_t i = 0; i < got; ++i) {
     Closure* c = taken[i];
@@ -106,18 +88,10 @@ std::vector<Closure> WorkerCore::try_steal_batch(net::NodeId thief,
 std::size_t WorkerCore::steal_concurrent(std::vector<Closure>& out,
                                          std::uint32_t max_tasks) {
   steal_reqs_atomic_.fetch_add(1, std::memory_order_relaxed);
-  if (!lockfree_ || max_tasks == 0) return 0;
+  if (!lockfree_) return 0;
   if (max_tasks > kMaxStealBatch) max_tasks = kMaxStealBatch;
-  std::size_t want = lockfree_->size_approx() / 2;  // steal-half
-  if (want < 1) want = 1;
-  if (want > max_tasks) want = max_tasks;
   Closure* taken[kMaxStealBatch];
-  std::size_t got = 0;
-  while (got < want) {
-    auto c = lockfree_->steal();
-    if (!c) break;
-    taken[got++] = *c;
-  }
+  const std::size_t got = lockfree_->steal_batch(taken, max_tasks);
   if (got == 0) return 0;
   std::uint64_t depth_total = 0;
   out.reserve(out.size() + got);
@@ -257,14 +231,14 @@ std::vector<proto::MigrantLedgerEntry> WorkerCore::export_steal_ledger() {
   std::vector<proto::MigrantLedgerEntry> out;
   out.reserve(steal_ledger_.size());
   for (auto& [id, entry] : steal_ledger_) {
-    out.push_back(
-        proto::MigrantLedgerEntry{entry.thief, std::move(entry.snapshot)});
+    out.push_back(proto::MigrantLedgerEntry{
+        entry.thief, entry.steal_seq, std::move(entry.snapshot)});
   }
   steal_ledger_.clear();
   return out;
 }
 
-void WorkerCore::adopt_migrant_ledger(net::NodeId thief, Closure snapshot,
+void WorkerCore::adopt_migrant_ledger(proto::MigrantLedgerEntry entry,
                                       bool thief_dead) {
   if (thief_dead) {
     // The thief's death notice predates this adoption; redo now or never.
@@ -272,13 +246,15 @@ void WorkerCore::adopt_migrant_ledger(net::NodeId thief, Closure snapshot,
     ++stats_.tasks_redone;
     ++stats_.tasks_migration_redone;
     if (tracing()) {
-      trace_instant(obs::EventType::kRedo, snapshot.id, thief.value);
+      trace_instant(obs::EventType::kRedo, entry.snapshot.id,
+                    entry.thief.value);
     }
-    push_ready_(adopt(std::move(snapshot)));
+    push_ready_(adopt(std::move(entry.snapshot)));
     return;
   }
-  const ClosureId id = snapshot.id;
-  steal_ledger_.emplace(id, LedgerEntry{std::move(snapshot), thief});
+  const ClosureId id = entry.snapshot.id;
+  steal_ledger_.emplace(id, LedgerEntry{std::move(entry.snapshot),
+                                        entry.thief, entry.steal_seq});
 }
 
 template <typename Match>

@@ -20,7 +20,14 @@
 //     spawn/execute/complete cycle allocates nothing in steady state;
 //   * a locally spawned closure is *lazy*: it carries no ClosureId until a
 //     thief, a migration, a redo snapshot, or a checkpoint needs a globally
-//     valid name, at which point it is materialized (assigned an id);
+//     valid name, at which point it is materialized (assigned an id).  Under
+//     a tracer ids are assigned eagerly so trace events stay named;
+//   * spawn+execute is fused for the LIFO child (Cilk-style): the most
+//     recently spawned ready closure sits in a one-slot register — the top
+//     of the conceptual ready stack — and the owner runs it without a deque
+//     push/pop pair.  Only a steal, migration, or snapshot demotes it to the
+//     real deque.  Under kFifo execution the register would reorder, so it
+//     is off there;
 //   * thieves can take a batch (steal-half) in one request.
 #pragma once
 
@@ -28,7 +35,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,25 +53,11 @@ namespace phish {
 class Context;
 class WorkerCore;
 
-/// Scheduling and hot-path policy knobs for one WorkerCore.
+/// Scheduling policy for one WorkerCore: the ready-list orders (ablations
+/// A1/A2) and the ready-list backend.
 struct CoreOptions {
   ExecOrder exec_order = ExecOrder::kLifo;
   StealOrder steal_order = StealOrder::kFifo;
-  /// Defer ClosureId assignment for locally spawned ready closures until a
-  /// thief/migration/snapshot needs one (Cilk-THE spirit).  When tracing is
-  /// attached ids are assigned eagerly anyway so trace events stay named.
-  bool lazy_spawn = true;
-  /// Pool closures (freelist reuse) instead of new/delete per closure.  The
-  /// differential tests run both settings through identical scheduler code.
-  bool pooled_alloc = true;
-  /// Fuse spawn+execute for the LIFO child (Cilk-style): the most recently
-  /// spawned ready closure sits in a one-slot register — the top of the
-  /// conceptual ready stack — and the owner runs it without a deque push/pop
-  /// pair.  Only a steal, migration, or snapshot demotes it to the real
-  /// deque.  Effective only under kLifo execution order (the register IS the
-  /// LIFO top; under kFifo it would reorder), where scheduling order is
-  /// provably identical to the unfused deque.
-  bool fused_spawn = true;
   /// Back the ready list with the lock-free Chase–Lev deque instead of the
   /// guarded ring, enabling the threads runtime's no-victim-lock steal path
   /// (steal_concurrent).  Requires the paper's standard orders (kLifo exec /
@@ -126,22 +118,19 @@ class WorkerCore {
     std::function<bool(const ContRef&, Value&&)> forward_local_miss;
   };
 
-  /// Most callers: default hot path (pooled + lazy) with the paper's
-  /// scheduling orders, or the ablation orders.
+  /// Most callers: the paper's scheduling orders, or the ablation orders,
+  /// over the guarded ring.
   WorkerCore(net::NodeId me, const TaskRegistry& registry, Hooks hooks,
              ExecOrder exec_order = ExecOrder::kLifo,
              StealOrder steal_order = StealOrder::kFifo)
       : WorkerCore(me, registry, std::move(hooks),
-                   CoreOptions{exec_order, steal_order, true, true}) {}
+                   CoreOptions{exec_order, steal_order}) {}
 
-  /// Full control (differential tests run the seed allocation behavior with
-  /// pooled_alloc/lazy_spawn off).
   WorkerCore(net::NodeId me, const TaskRegistry& registry, Hooks hooks,
              const CoreOptions& options);
 
   net::NodeId id() const noexcept { return me_; }
   const TaskRegistry& registry() const noexcept { return registry_; }
-  const CoreOptions& options() const noexcept { return options_; }
 
   // ---- Task-facing operations (called by tasks through Context). ----
 
@@ -201,15 +190,10 @@ class WorkerCore {
   /// handle it came from.  Defined inline below (hot path).
   void execute(Closure& closure);
 
-  /// Victim side of a steal: surrender the tail task, recording it in the
-  /// steal ledger for possible redo if the thief later crashes.
-  /// `thief` identifies who is taking it.
-  std::optional<Closure> try_steal(net::NodeId thief);
-
-  /// Victim side of a batched steal: up to `max_tasks` tasks (capped at
-  /// half the ready list — steal-half — and at kMaxStealBatch), each
-  /// ledgered individually under the thief's `steal_seq`.  max_tasks == 1
-  /// reproduces try_steal exactly.
+  /// Victim side of a steal: surrender up to `max_tasks` tail tasks (capped
+  /// at half the ready list — steal-half — and at kMaxStealBatch), each
+  /// recorded in the steal ledger under the thief's `steal_seq` for redo if
+  /// the thief later crashes or cancels the steal.
   std::vector<Closure> try_steal_batch(net::NodeId thief,
                                        std::uint32_t max_tasks,
                                        std::uint64_t steal_seq = 0);
@@ -285,12 +269,12 @@ class WorkerCore {
   /// (the crash-after-reclaim stranding in DESIGN.md's failure matrix).
   std::vector<proto::MigrantLedgerEntry> export_steal_ledger();
 
-  /// Successor side: adopt one migrated steal-ledger entry.  When the
-  /// runtime already saw a death notice for the thief (`thief_dead`), the
-  /// snapshot is redone immediately instead of ledgered — the death notice
-  /// that would have triggered redo has already come and gone.
-  void adopt_migrant_ledger(net::NodeId thief, Closure snapshot,
-                            bool thief_dead);
+  /// Successor side: adopt one migrated steal-ledger entry, under its
+  /// original steal sequence number so the thief can still cancel it.  When
+  /// the runtime already saw a death notice for the thief (`thief_dead`),
+  /// the snapshot is redone immediately instead of ledgered — the death
+  /// notice that would have triggered redo has already come and gone.
+  void adopt_migrant_ledger(proto::MigrantLedgerEntry entry, bool thief_dead);
 
   /// Entries currently in the steal ledger (cheap; drives the departing
   /// worker's decision whether a migration round is needed at all).
@@ -327,13 +311,6 @@ class WorkerCore {
     last_charge_ = 0;
   }
 
-  /// Fresh core standing in for a later incarnation of a node id (the UDP
-  /// runtime rebuilds the worker object on rejoin): start the id band at
-  /// `base` so ids cannot collide with the previous incarnation's.
-  void set_seq_base(std::uint64_t base) {
-    if (base > next_seq_) next_seq_ = base;
-  }
-
   // ---- Checkpointing (paper §6 future work). ----
 
   /// Serialize this worker's entire closure state (ready list + waiting
@@ -360,18 +337,12 @@ class WorkerCore {
     return (next_task_ != nullptr ? 1 : 0) +
            (lockfree_ ? lockfree_->size_approx() : deque_.size());
   }
-  /// Registered waiting closures.  In pooled (lazy-registration) mode this
-  /// can undercount until register_pending_joins_ runs; every externally
+  /// Registered waiting closures.  Joins register lazily, so this can
+  /// undercount until register_pending_joins_ runs; every externally
   /// observable path (export, migration, checkpoints) registers first.
   std::size_t waiting_count() const noexcept { return waiting_.size(); }
   const WorkerStats& stats() const noexcept { return stats_; }
   WorkerStats& stats() noexcept { return stats_; }
-  const ClosurePool& pool() const noexcept { return pool_; }
-
-  /// Tests only: look up a waiting closure.
-  const Closure* find_waiting(const ClosureId& id) const {
-    return waiting_.find(id);
-  }
 
   /// Work units reported (via Context::charge) by the most recent execute().
   /// The simulated-distributed runtime converts these to simulated time; the
@@ -394,8 +365,6 @@ class WorkerCore {
     trace_execute_spans_ = emit_execute_spans;
     exec_traced_ = tracing() && trace_execute_spans_;
   }
-  obs::TraceShard* trace_shard() const noexcept { return trace_; }
-  const obs::Clock* trace_clock() const noexcept { return trace_clock_; }
 
   /// Record an instant event on this worker's shard (no-op when detached).
   void trace_instant(obs::EventType type, const ClosureId& id,
@@ -452,8 +421,8 @@ class WorkerCore {
 
   // ---- Ready-list plumbing: fused register over either deque backend. ----
   // Invariant: the conceptual ready stack is [next_task_?] + deque, and
-  // every mutation preserves exactly the order the unfused guarded deque
-  // would hold, so all modes schedule identically.
+  // every mutation preserves exactly the order a plain deque would hold, so
+  // the register and both backends schedule identically.
 
   /// Push a newly ready closure at the conceptual stack top.
   void push_ready_(Closure* c) {
@@ -532,7 +501,7 @@ class WorkerCore {
   void release_closure(Closure* c) { pool_.release(c); }
 
   bool tracing() const noexcept {
-    return PHISH_OBS_TRACING && trace_ != nullptr && trace_->enabled();
+    return trace_ != nullptr && trace_->enabled();
   }
   std::uint64_t trace_now() const { return trace_clock_->now_ns(); }
 
@@ -546,25 +515,23 @@ class WorkerCore {
   const TaskEntry* task_entries_;
   std::uint32_t task_limit_;
   Hooks hooks_;
-  CoreOptions options_;
   std::uint64_t last_charge_ = 0;
   ClosurePool pool_;
   ReadyDeque deque_;  // guarded ring backend (default)
   std::unique_ptr<ChaseLevDeque<Closure*>> lockfree_;  // lockfree backend
   /// Fused spawn register: the top of the conceptual ready stack.
   Closure* next_task_ = nullptr;
-  bool fused_ = false;
+  bool fused_ = false;  // the register is used (kLifo execution only)
   std::size_t owner_size_ = 0;  // lockfree: owner-side size overestimate
   WaitingTable waiting_;
-  // Dirty flag: some waiting closures may have been created lazily (pooled
-  // mode) and not yet inserted into waiting_; see create_waiting /
+  // Dirty flag: some waiting closures may have been created lazily and not
+  // yet inserted into waiting_; see create_waiting /
   // register_pending_joins_.  A flag rather than a count keeps the join
   // promote path free of balance bookkeeping.
   bool pending_waiting_ = false;
 
   // Most recently created waiting closure; feeds slot_ref's local_hint.
-  // Only set in pooled mode (pool storage is never freed, so a stale value
-  // is safe to id-check; a heap-mode pointer would dangle).
+  // Pool storage is never freed, so a stale value is safe to id-check.
   Closure* last_waiting_ = nullptr;
   std::uint64_t next_seq_ = 1;
   WorkerStats stats_;
@@ -628,13 +595,13 @@ inline void PoppedTask::release_() noexcept {
 inline void WorkerCore::finish_spawn_(Closure* c) {
   // Lazy spawn: no id until a thief / migration / snapshot needs a global
   // name.  Tracing wants named events, so ids are eager under a tracer.
-  if (!options_.lazy_spawn || tracing()) c->id = next_id();
+  if (tracing()) c->id = next_id();
   stats_.note_alloc();
   ++stats_.tasks_spawned;
   push_ready_(c);
   if (tracing()) {
-    // ready_count() (deque + fused register) keeps the trace byte-identical
-    // across fused and unfused modes.
+    // ready_count() counts the fused register too, so the trace sees the
+    // conceptual ready stack, not the backend.
     trace_instant(obs::EventType::kSpawn, c->id, ready_count());
   }
 }
@@ -688,7 +655,7 @@ inline ClosureId WorkerCore::create_waiting(TaskId task, std::uint16_t nslots,
   if (nslots == 0) {
     // Degenerate join: ready immediately.
     push_ready_(c);
-  } else if (pool_.pooled()) {
+  } else {
     // Lazy registration: local sends reach the join through the ContRef
     // pool-pointer hint (slot_ref), so the table insert — the single most
     // expensive step of the join cycle — is deferred until something
@@ -697,11 +664,6 @@ inline ClosureId WorkerCore::create_waiting(TaskId task, std::uint16_t nslots,
     c->wait_slot = Closure::kNoWaitSlot;
     pending_waiting_ = true;
     last_waiting_ = c;
-  } else {
-    // Heap mode frees closures on release, so pool pointers can dangle and
-    // hints are never handed out (see slot_ref): every join must be
-    // reachable by id from birth.
-    waiting_.insert(c);
   }
   return id;
 }
@@ -734,8 +696,7 @@ inline void WorkerCore::send_argument(const ContRef& cont, Value&& value) {
   if (cont.home == me_) {
     // Fast path: the ref carries a pool pointer to its target.  Pool
     // storage is never freed while the core lives, so the deref is safe;
-    // the id check rejects a recycled (hence renamed) closure.  Heap mode
-    // never sets hints (see slot_ref), so no guard is needed here.
+    // the id check rejects a recycled (hence renamed) closure.
     Closure* target = cont.local_hint;
     if (__builtin_expect(target != nullptr && target->id == cont.target, 1)) {
       // Hint hit: the fused fill — semantically identical to fill_waiting_

@@ -78,9 +78,11 @@ UdpChannel::UdpChannel(UdpNetwork& net, NodeId id)
   }
   int reuse = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof reuse);
+  // Receive poll timeout: bounds how long shutdown waits on the receiver.
+  constexpr int kRecvTimeoutMs = 50;
   timeval tv{};
-  tv.tv_sec = net.params().recv_timeout_ms / 1000;
-  tv.tv_usec = (net.params().recv_timeout_ms % 1000) * 1000;
+  tv.tv_sec = kRecvTimeoutMs / 1000;
+  tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 
   // base_port 0: bind port 0 and let the kernel allocate — the only

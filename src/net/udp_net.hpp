@@ -29,8 +29,6 @@ struct UdpParams {
   /// Nonzero = fixed layout: node id binds base_port + id (useful when an
   /// external process must know the ports up front).
   std::uint16_t base_port = 29070;
-  /// Receive poll timeout; bounds shutdown latency.
-  int recv_timeout_ms = 50;
   /// Artificial outbound loss for testing retransmission over real sockets.
   double drop_probability = 0.0;
   std::uint64_t seed = 0x5eed'0000'0002ULL;

@@ -3,14 +3,10 @@
 // Hot-path contract (the reason this design exists): recording an event is a
 // relaxed flag load, a clock read, and one SPSC ring push — no locks, no
 // allocation, no syscalls — and when the ring is full the event is dropped
-// and counted rather than ever stalling the scheduler.  Two switches guard
-// the cost:
-//
-//   * compile-time: build with -DPHISH_OBS_TRACING=0 (CMake option
-//     PHISH_OBS_TRACING=OFF) and every emit site compiles away entirely;
-//   * runtime: a Tracer starts enabled but can be toggled; emit() on a
-//     disabled tracer is a single relaxed load.  Code that was never handed
-//     a shard (the default) pays one null-pointer test.
+// and counted rather than ever stalling the scheduler.  A runtime switch
+// guards the cost: a Tracer starts enabled but can be toggled, and emit() on
+// a disabled tracer is a single relaxed load.  Code that was never handed a
+// shard (the default) pays one null-pointer test.
 //
 // Threading: shard(tid) hands each producer thread its own ring; collect()
 // is the single consumer and may run concurrently with producers (snapshot
@@ -26,10 +22,6 @@
 #include "obs/event.hpp"
 #include "obs/ring_buffer.hpp"
 
-#ifndef PHISH_OBS_TRACING
-#define PHISH_OBS_TRACING 1
-#endif
-
 namespace phish::obs {
 
 class Tracer;
@@ -40,19 +32,15 @@ class Tracer;
 class TraceShard {
  public:
   void emit(const TraceEvent& event) noexcept {
-#if PHISH_OBS_TRACING
     if (!enabled_->load(std::memory_order_relaxed)) return;
     ring_.try_push(event);
-#else
-    (void)event;
-#endif
   }
 
   /// Runtime switch state; emit sites check this before computing event
   /// arguments (e.g. reading a clock) so a disabled tracer costs one
   /// relaxed load.
   bool enabled() const noexcept {
-    return PHISH_OBS_TRACING && enabled_->load(std::memory_order_relaxed);
+    return enabled_->load(std::memory_order_relaxed);
   }
 
   std::uint16_t tid() const noexcept { return tid_; }

@@ -72,7 +72,7 @@ WorkerNode::WorkerNode(net::Channel& channel, net::TimerService& timers,
                 // previous life's migrated cargo (owner reclaim, then this
                 // incarnation rejoined) must chase it through the same
                 // forwarding stub remote arrivals use; mid-drain it buffers
-                // in the fill log until the successor confirms.
+                // in the forward log until the successor confirms.
                 if (state_ != State::kDeparting && !forward_to_.valid()) {
                   return false;
                 }
@@ -362,21 +362,25 @@ Bytes WorkerNode::handle_control(const Bytes& args) {
       break;
     case proto::ControlMsg::kReroute:
       // The Clearinghouse redelivered our migrated cargo to `who`: re-target
-      // the forwarding stub and replay every fill logged since the drain —
-      // the redelivered snapshot predates them (duplicates are idempotent).
+      // the forwarding stub and replay everything logged since the drain —
+      // the redelivered snapshot predates it (duplicates are idempotent).
       if (msg->who.valid() && msg->who != me_) {
         forward_to_ = msg->who;
-        flushed_fills_ = 0;
-        flush_fill_log();
+        flushed_forwards_ = 0;
+        flush_forward_log();
       }
       break;
     case proto::ControlMsg::kStealCancel:
       // The thief's call gave up: what we served it was never installed.
       // Redo exactly that steal, and refuse the request if it arrives late.
-      cancelled_steals_.emplace(msg->who.value, msg->view);
-      if (core_.redo_steal(msg->who, msg->view) > 0 &&
-          state_ == State::kActive) {
-        driver_.schedule_step(0);
+      // A cancel seen before changes nothing, which also ends any cycle of
+      // forwarding stubs.
+      if (!cancelled_steals_.emplace(msg->who.value, msg->view).second) break;
+      if (core_.redo_steal(msg->who, msg->view) > 0) {
+        if (state_ == State::kActive) driver_.schedule_step(0);
+      } else if (state_ == State::kDeparting || forward_to_.valid()) {
+        // Our steal ledger left with migrated cargo: its holder redoes it.
+        log_and_forward(Forward{/*cancel=*/true, args});
       }
       break;
     case proto::ControlMsg::kMigrationRetired:
@@ -386,8 +390,8 @@ Bytes WorkerNode::handle_control(const Bytes& args) {
       // log, so release it instead of retaining it forever.
       outstanding_migrations_.erase(msg->view);
       if (outstanding_migrations_.empty()) {
-        fill_log_.clear();
-        flushed_fills_ = 0;
+        forward_log_.clear();
+        flushed_forwards_ = 0;
       }
       break;
     default:
@@ -474,7 +478,7 @@ void WorkerNode::begin_migration_round() {
           return;
         }
         // The ledger entry exists from here until the coordinator retires
-        // it (even if the handoff below is abandoned): retain the fill log
+        // it (even if the handoff below is abandoned): retain the forward log
         // for a possible kReroute replay until the retirement notice.
         outstanding_migrations_.insert(mid);
         try_handoff(mid, std::move(cargo), std::move(ledger), peers_);
@@ -515,7 +519,7 @@ void WorkerNode::try_handoff(std::uint64_t mid, std::vector<Closure> cargo,
           return;
         }
         forward_to_ = successor;
-        flush_fill_log();
+        flush_forward_log();
         confirm_holder(mid, successor);
       },
       params_.rpc_policy);
@@ -569,23 +573,36 @@ void WorkerNode::finalize_depart(const char* failure) {
 void WorkerNode::log_and_forward_fill(proto::ArgumentMsg arg) {
   if (arg.ttl == 0) return;  // forwarding-cycle guard: drop, let redo cover
   --arg.ttl;
+  log_and_forward(Forward{/*cancel=*/false, arg.encode()});
+}
+
+void WorkerNode::log_and_forward(Forward item) {
   if (forward_to_.valid() && outstanding_migrations_.empty()) {
     // Every ledger entry we originated is retired, so no kReroute can ever
     // ask for a replay: forward without retaining.  (With no successor yet
-    // the fill must still be buffered below, retirement or not.)
-    rpc_.send_oneway(forward_to_, proto::kArgument, arg.encode());
+    // the item must still be buffered below, retirement or not.)
+    send_forward(item);
     return;
   }
-  fill_log_.push_back(arg.encode());
-  flush_fill_log();
+  forward_log_.push_back(std::move(item));
+  flush_forward_log();
 }
 
-void WorkerNode::flush_fill_log() {
+void WorkerNode::flush_forward_log() {
   if (!forward_to_.valid()) return;
-  for (std::size_t i = flushed_fills_; i < fill_log_.size(); ++i) {
-    rpc_.send_oneway(forward_to_, proto::kArgument, fill_log_[i]);
+  for (std::size_t i = flushed_forwards_; i < forward_log_.size(); ++i) {
+    send_forward(forward_log_[i]);
   }
-  flushed_fills_ = fill_log_.size();
+  flushed_forwards_ = forward_log_.size();
+}
+
+void WorkerNode::send_forward(const Forward& item) {
+  if (item.cancel) {
+    rpc_.call(forward_to_, proto::kRpcControl, item.payload,
+              [](net::RpcResult) {}, params_.rpc_policy);
+  } else {
+    rpc_.send_oneway(forward_to_, proto::kArgument, item.payload);
+  }
 }
 
 Bytes WorkerNode::serve_migrate(const Bytes& args) {
@@ -615,8 +632,8 @@ Bytes WorkerNode::serve_migrate(const Bytes& args) {
   for (proto::MigrantLedgerEntry& e : m->ledger) {
     // Inherit the victim role: if the thief already died (we saw the
     // notice; the origin's redo never ran), redo now instead of ledgering.
-    core_.adopt_migrant_ledger(e.thief, std::move(e.snapshot),
-                               ever_died_.count(e.thief.value) != 0);
+    const bool thief_dead = ever_died_.count(e.thief.value) != 0;
+    core_.adopt_migrant_ledger(std::move(e), thief_dead);
   }
   if (m->migration_id != 0) {
     core_.trace_instant(obs::EventType::kMigrateRereg, ClosureId{},
@@ -675,7 +692,8 @@ std::optional<net::NodeId> WorkerNode::pick_victim() {
     case VictimPolicy::kClusterLocal: {
       // Random victim within our cluster until repeated failures suggest the
       // local cluster is out of work; then random among everyone.
-      if (consecutive_failed_steals_ < params_.cluster_escalate_after) {
+      constexpr int kClusterEscalateAfter = 4;  // consecutive local failures
+      if (consecutive_failed_steals_ < kClusterEscalateAfter) {
         const int my_cluster = driver_.cluster_of(me_);
         std::vector<net::NodeId> local;
         for (net::NodeId p : peers_) {
@@ -712,7 +730,7 @@ void WorkerNode::rejoin() {
   // empty but keeps its id allocator (late messages addressed to the old
   // incarnation must not land in new closures).  peers_ and known_epoch_
   // survive as the base the registration delta is applied against.
-  // forward_to_ and the fill log survive too: the stub obligation for the
+  // forward_to_ and the forward log survive too: the stub obligation for the
   // previous life's migrated closures outlives it (arguments addressed here
   // keep arriving, and a kReroute may still ask for a replay).  Locally
   // unknown fills forward; the ArgumentMsg ttl bounds any stub cycle.

@@ -15,7 +15,8 @@
 //     acked three-step migration handshake (ledger registration, handoff,
 //     holder confirmation) and stays behind as a forwarding stub;
 //   * on a death notice redoes the tasks its dead thieves stole, and on a
-//     thief's steal cancellation redoes exactly that steal's tasks;
+//     thief's steal cancellation redoes exactly that steal's tasks — or,
+//     once departed, passes the cancel on to whoever holds its ledger;
 //   * survives its own crash by rejoining as a fresh incarnation.
 //
 // The node never blocks and takes no lock.  Whatever runs it — a Driver —
@@ -54,7 +55,7 @@ enum class VictimPolicy : std::uint8_t {
   /// Heterogeneous-network extension (paper §6: "preserve locality with
   /// respect to those network cuts that have the least bandwidth"): steal
   /// from victims in the thief's own network cluster first, crossing the
-  /// cut only after `cluster_escalate_after` consecutive local failures.
+  /// cut only after a few consecutive local failures.
   kClusterLocal,
 };
 
@@ -81,9 +82,6 @@ struct NodeParams {
   std::uint64_t register_backoff_max = 16'000'000'000;
   /// Victim selection (ablation A3 / topology extension).
   VictimPolicy victim_policy = VictimPolicy::kUniformRandom;
-  /// kClusterLocal: consecutive failed local steals before trying a victim
-  /// across the cluster cut.
-  int cluster_escalate_after = 4;
   /// Most tasks one steal RPC may carry back (steal-half, capped).  1 is the
   /// paper's steal-one; larger batches amortize the RPC round trip when
   /// victims run deep queues.
@@ -285,10 +283,19 @@ class WorkerNode {
   /// (victims' ledgers, or the Clearinghouse's, whichever got far enough)
   /// recovers the cargo.
   void finalize_depart(const char* failure = nullptr);
+  /// What a departed node passes on to whoever holds its migrated cargo.
+  struct Forward {
+    bool cancel;    // a kStealCancel control call, else a kArgument fill
+    Bytes payload;  // encoded message
+  };
   /// Log a post-drain argument fill (ttl decremented, re-encoded) and
-  /// forward the unsent tail of the log to the current successor.
+  /// forward it.
   void log_and_forward_fill(proto::ArgumentMsg arg);
-  void flush_fill_log();
+  /// Log `item` and forward the unsent tail of the log to the current
+  /// successor.
+  void log_and_forward(Forward item);
+  void flush_forward_log();
+  void send_forward(const Forward& item);
   /// `unregister` false leaves the registration in place on purpose: a
   /// departure that dropped closures must be *detected as a death* so the
   /// redo machinery fires; a clean goodbye would bury the loss.
@@ -355,16 +362,17 @@ class WorkerNode {
   /// cleared): an adopted steal-ledger entry whose thief is here must be
   /// redone immediately — the notice that would trigger it already fired.
   std::unordered_set<std::uint32_t> ever_died_;
-  /// Argument fills received after the drain (re-encoded with ttl-1), in
-  /// arrival order.  Flushed to the successor as it is confirmed; replayed
-  /// in full on kReroute so a redelivered holder sees every fill the lost
-  /// one did.  Retained across rejoin (the stub obligation outlives us),
-  /// but only while outstanding_migrations_ is non-empty: once every
-  /// migration we registered has been retired (kMigrationRetired), no
-  /// reroute can replay it, so it is released instead of growing for the
-  /// stub's whole lifetime.
-  std::vector<Bytes> fill_log_;
-  std::size_t flushed_fills_ = 0;
+  /// Argument fills received after the drain (re-encoded with ttl-1) and
+  /// steal cancels our departed ledger must serve, in arrival order.
+  /// Flushed to the successor as it is confirmed; replayed in full on
+  /// kReroute so a redelivered holder sees everything the lost one did.
+  /// Retained across rejoin (the stub obligation outlives us), but only
+  /// while outstanding_migrations_ is non-empty: once every migration we
+  /// registered has been retired (kMigrationRetired), no reroute can replay
+  /// it, so it is released instead of growing for the stub's whole
+  /// lifetime.
+  std::vector<Forward> forward_log_;
+  std::size_t flushed_forwards_ = 0;
   /// Migration ids we registered in the coordinator's ledger whose entries
   /// have not been retired yet (kMigrationRetired erases them).
   std::unordered_set<std::uint64_t> outstanding_migrations_;

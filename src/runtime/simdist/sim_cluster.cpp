@@ -263,14 +263,13 @@ SimJobResult SimCluster::drive() {
 
   Xoshiro256 start_rng(mix64(config_.seed ^ 0x57a7ULL));
   sim::SimTime first_start = ~sim::SimTime{0};
+  // Every other worker starts within this much of worker 0 ("as close to
+  // the same time as possible").
+  constexpr sim::SimTime kStartJitter = 20 * sim::kMillisecond;
   for (int i = 0; i < config_.participants; ++i) {
     // Worker 0 carries the root and starts first: it models the submitting
     // workstation, whose worker exists before any other joins the job.
-    const sim::SimTime when =
-        static_cast<sim::SimTime>(i) * config_.start_stagger +
-        (i > 0 && config_.start_jitter > 0
-             ? 1 + start_rng.below(config_.start_jitter)
-             : 0);
+    const sim::SimTime when = i > 0 ? 1 + start_rng.below(kStartJitter) : 0;
     first_start = std::min(first_start, when);
     sim_.schedule_at(when, [this, i] { workers_[i]->start(); });
   }

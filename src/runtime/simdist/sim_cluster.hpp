@@ -31,9 +31,6 @@ struct SimJobConfig {
   SimWorkerParams worker;
   ClearinghouseConfig clearinghouse;
   std::uint64_t seed = 0x5eed'0000'0020ULL;
-  /// Worker i starts at i * start_stagger + jitter in [0, start_jitter].
-  sim::SimTime start_stagger = 0;
-  sim::SimTime start_jitter = 20 * sim::kMillisecond;
   /// Scheduling policies (ablations).
   ExecOrder exec_order = ExecOrder::kLifo;
   StealOrder steal_order = StealOrder::kFifo;

@@ -64,8 +64,11 @@ void SimWorker::step() {
     executing_ = true;
     core.execute(*task);  // sends inside are buffered; costs join cpu_debt_
     executing_ = false;
-    cost += scaled(params_.task_overhead +
-                   core.last_charge() * params_.charge_unit + cpu_debt_);
+    // Scheduling overhead charged per task executed (task packaging, queue
+    // manipulation, network polling — the serial-slowdown sources).
+    constexpr sim::SimTime kTaskOverhead = 5 * sim::kMicrosecond;
+    cost += scaled(kTaskOverhead + core.last_charge() * params_.charge_unit +
+                   cpu_debt_);
     cpu_debt_ = 0;
     note_task_ran();
     if (trace_shard_ != nullptr && trace_shard_->enabled()) {

@@ -18,9 +18,6 @@
 namespace phish::rt {
 
 struct SimWorkerParams : NodeParams {
-  /// Scheduling overhead charged per task executed (task packaging,
-  /// queue manipulation, network polling — the serial-slowdown sources).
-  sim::SimTime task_overhead = 5 * sim::kMicrosecond;
   /// Simulated time per unit of application work (Context::charge).
   sim::SimTime charge_unit = 2 * sim::kMicrosecond;
   /// Relative CPU speed (2.0 = twice as fast); scales all compute costs.

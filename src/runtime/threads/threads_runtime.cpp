@@ -14,6 +14,16 @@
 namespace phish::rt {
 namespace {
 
+/// phish_overheads: tasks executed between split-phase network polls (the
+/// real non-blocking recv syscall).  The 1994 runtime polled per task; this
+/// amortizes the syscall the way a modern split-phase scheduler would,
+/// while the per-task membership check (an atomic load) is still paid on
+/// every task.
+constexpr int kPollPeriod = 128;
+/// Consecutive empty scheduling rounds (own queue, inbox, and a failed
+/// steal) after which a worker naps briefly instead of spinning.
+constexpr int kSpinRoundsBeforeYield = 64;
+
 const obs::SteadyClock& steady_clock() {
   static const obs::SteadyClock clock;
   return clock;
@@ -45,9 +55,8 @@ ThreadsRuntime::ThreadsRuntime(const TaskRegistry& registry,
   if (config_.workers < 1) {
     throw std::invalid_argument("threads runtime: need at least one worker");
   }
-  if (config_.poll_period < 1 || config_.steal_batch < 1) {
-    throw std::invalid_argument(
-        "threads runtime: poll_period and steal_batch must be >= 1");
+  if (config_.steal_batch < 1) {
+    throw std::invalid_argument("threads runtime: steal_batch must be >= 1");
   }
   // Lock-free Chase–Lev steals need more than one worker (a solo worker
   // would pay the deque's fences for nothing) and the paper's standard
@@ -106,8 +115,8 @@ ThreadsRunResult ThreadsRuntime::run(TaskId root, std::vector<Value> args) {
   for (int i = 0; i < config_.workers; ++i) {
     Worker& w = *workers_[i];
     WorkerCore::Hooks hooks;
-    hooks.send_remote = [this, i](const ContRef& cont, Value value) {
-      deliver(cont, std::move(value), i);
+    hooks.send_remote = [this](const ContRef& cont, Value value) {
+      deliver(cont, std::move(value));
     };
     CoreOptions opts;
     opts.exec_order = config_.exec_order;
@@ -228,7 +237,6 @@ void ThreadsRuntime::worker_loop(int index) {
   // than the modeled obligation itself (which is one relaxed load), so
   // leaving them in would overstate Phish's overhead.
   const bool phish = config_.phish_overheads;
-  const int poll_period = config_.poll_period;
   const int poll_fd = w.poll_fd;
   while (!done_.load(std::memory_order_acquire)) {
     bool progressed = false;
@@ -255,9 +263,9 @@ void ThreadsRuntime::worker_loop(int index) {
         if (phish) {
           // Phish's per-task obligations: a dynamic-membership check on
           // every task, and a split-phase network poll (a real non-blocking
-          // syscall) amortized over poll_period tasks.
+          // syscall) amortized over kPollPeriod tasks.
           (void)membership_epoch_.load(std::memory_order_relaxed);
-          if (++tasks_since_poll >= poll_period) {
+          if (++tasks_since_poll >= kPollPeriod) {
             tasks_since_poll = 0;
             std::uint8_t buf[64];
             (void)::recv(poll_fd, buf, sizeof buf, 0);  // expected: EAGAIN
@@ -278,7 +286,7 @@ void ThreadsRuntime::worker_loop(int index) {
 
     if (progressed) {
       unproductive_rounds = 0;
-    } else if (++unproductive_rounds > config_.spin_rounds_before_yield) {
+    } else if (++unproductive_rounds > kSpinRoundsBeforeYield) {
       // Nap briefly: bounded because deliveries are polled, not signalled.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -354,9 +362,7 @@ bool ThreadsRuntime::try_steal_for(int thief_index) {
   return ok;
 }
 
-void ThreadsRuntime::deliver(const ContRef& cont, Value value,
-                             int sender_index) {
-  (void)sender_index;
+void ThreadsRuntime::deliver(const ContRef& cont, Value value) {
   if (cont.home == kResultNode) {
     {
       std::lock_guard<std::mutex> lock(result_mutex_);

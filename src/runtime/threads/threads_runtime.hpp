@@ -46,18 +46,9 @@ struct ThreadsConfig {
   /// Pay Phish's per-task overheads (see file comment).  Table 1's second
   /// column.
   bool phish_overheads = false;
-  /// phish_overheads: execute this many tasks between split-phase network
-  /// polls (the real non-blocking recv syscall).  1 reproduces the 1994
-  /// per-task poll; the default amortizes the syscall the way a modern
-  /// split-phase scheduler would, while the per-task membership check (an
-  /// atomic load) is still paid on every task.
-  int poll_period = 128;
   /// Most tasks a single steal takes from a victim (steal-half, capped).
   /// 1 reproduces classic steal-one.
   int steal_batch = 8;
-  /// Consecutive empty scheduling rounds (own queue, inbox, and a failed
-  /// steal) after which a worker naps briefly instead of spinning.
-  int spin_rounds_before_yield = 64;
   /// Optional event tracer (wall-clock domain).  Worker i writes to
   /// tracer->shard(i); null disables tracing entirely.
   obs::Tracer* tracer = nullptr;
@@ -108,7 +99,7 @@ class ThreadsRuntime {
   void worker_loop(int index);
   bool drain_inbox(Worker& w);               // callers hold core_mutex
   bool try_steal_for(int thief_index);
-  void deliver(const ContRef& cont, Value value, int sender_index);
+  void deliver(const ContRef& cont, Value value);
   bool quiescent_without_result();
 
   const TaskRegistry& registry_;

@@ -127,14 +127,21 @@ class UdpWorker::PostingTimers final : public net::TimerService {
 
 namespace {
 
+/// Pause between failed steal attempts on real sockets.
+constexpr std::uint64_t kStealRetryNs = 2'000'000;  // 2 ms
+/// Registration retries forever, with exponential backoff (plus seeded
+/// jitter) between attempts so a mass rejoin does not storm the coordinator.
+constexpr std::uint64_t kRegisterBackoffNs = 50'000'000;      // 50 ms
+constexpr std::uint64_t kRegisterBackoffMaxNs = 800'000'000;  // 800 ms
+
 NodeParams node_params(const UdpJobConfig& config) {
   NodeParams p;
-  p.steal_retry_delay = config.steal_retry_ns;
+  p.steal_retry_delay = kStealRetryNs;
   p.max_failed_steals = config.max_failed_steals;
   p.heartbeat_period = config.heartbeat_period_ns;
   p.rpc_policy = config.rpc_policy;
-  p.register_backoff = config.register_backoff_ns;
-  p.register_backoff_max = config.register_backoff_max_ns;
+  p.register_backoff = kRegisterBackoffNs;
+  p.register_backoff_max = kRegisterBackoffMaxNs;
   p.steal_batch = config.steal_batch;
   return p;
 }

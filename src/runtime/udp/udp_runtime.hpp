@@ -35,14 +35,8 @@ struct UdpJobConfig {
   /// Most tasks one steal RPC may carry back (steal-half, capped); 1 is the
   /// paper's steal-one.
   int steal_batch = 1;
-  std::uint64_t steal_retry_ns = 2'000'000;        // 2 ms
   std::uint64_t heartbeat_period_ns = 500'000'000; // 500 ms
   net::RetryPolicy rpc_policy{100'000'000, 6, 1.5};
-  /// Registration retries forever, with exponential backoff (plus seeded
-  /// jitter) between attempts so a mass rejoin does not storm the
-  /// coordinator.
-  std::uint64_t register_backoff_ns = 50'000'000;       // 50 ms
-  std::uint64_t register_backoff_max_ns = 800'000'000;  // 800 ms
   ClearinghouseConfig clearinghouse;
   /// Watchdog: give up if the job has not finished in this much real time.
   double timeout_seconds = 120.0;

@@ -27,7 +27,7 @@ namespace {
 TEST(ClosurePool, GrowsByDoublingChunks) {
   ClosurePool pool;
   std::vector<Closure*> live;
-  const std::size_t want = ClosurePool::kDefaultFirstChunk * 7;  // 448
+  const std::size_t want = ClosurePool::kFirstChunk * 7;  // 448
   for (std::size_t i = 0; i < want; ++i) live.push_back(pool.acquire());
   const auto& s = pool.stats();
   EXPECT_EQ(s.acquires, want);
@@ -87,17 +87,6 @@ TEST(ClosurePool, SteadyStateIsAllocationFree) {
   }
   EXPECT_EQ(pool.stats().chunks, chunks_before);
   EXPECT_EQ(pool.stats().freelist_reuses, 1000u);
-}
-
-TEST(ClosurePool, HeapModeDeletesPerClosure) {
-  ClosurePool pool(/*pooled=*/false);
-  EXPECT_FALSE(pool.pooled());
-  Closure* c = pool.acquire();
-  EXPECT_EQ(pool.stats().live, 1u);
-  pool.release(c);  // deletes; ASan would flag a leak or double-free
-  EXPECT_EQ(pool.stats().live, 0u);
-  EXPECT_EQ(pool.stats().chunks, 0u);
-  EXPECT_EQ(pool.stats().freelist_reuses, 0u);
 }
 
 TEST(ClosurePool, ReusedClosureKeepsArgHeapCapacity) {

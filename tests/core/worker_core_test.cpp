@@ -120,17 +120,17 @@ TEST_F(WorkerCoreTest, StealTakesTail) {
   // Two tasks spawned; steal must take the OLDER one (FIFO).
   core_->spawn(leaf_id_, {Value(std::int64_t{1})}, remote_cont(), 0);
   core_->spawn(leaf_id_, {Value(std::int64_t{2})}, remote_cont(), 0);
-  auto stolen = core_->try_steal(net::NodeId{5});
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(stolen->args[0].as_int(), 1) << "oldest task is stolen";
+  auto stolen = core_->try_steal_batch(net::NodeId{5}, 1);
+  ASSERT_EQ(stolen.size(), 1u);
+  EXPECT_EQ(stolen[0].args[0].as_int(), 1) << "oldest task is stolen";
   EXPECT_EQ(core_->stats().tasks_stolen_from_me, 1u);
   EXPECT_EQ(core_->stats().steal_requests_received, 1u);
   EXPECT_EQ(core_->ready_count(), 1u);
 }
 
 TEST_F(WorkerCoreTest, FailedStealOnEmptyQueue) {
-  auto stolen = core_->try_steal(net::NodeId{5});
-  EXPECT_FALSE(stolen.has_value());
+  auto stolen = core_->try_steal_batch(net::NodeId{5}, 1);
+  EXPECT_TRUE(stolen.empty());
   EXPECT_EQ(core_->stats().steal_requests_received, 1u);
   EXPECT_EQ(core_->stats().tasks_stolen_from_me, 0u);
 }
@@ -138,9 +138,9 @@ TEST_F(WorkerCoreTest, FailedStealOnEmptyQueue) {
 TEST_F(WorkerCoreTest, InstallStolenMakesTaskRunnable) {
   WorkerCore thief(net::NodeId{1}, registry_, make_hooks());
   core_->spawn(leaf_id_, {Value(std::int64_t{42})}, remote_cont(), 0);
-  auto stolen = core_->try_steal(net::NodeId{1});
-  ASSERT_TRUE(stolen.has_value());
-  thief.install_stolen(std::move(*stolen));
+  auto stolen = core_->try_steal_batch(net::NodeId{1}, 1);
+  ASSERT_EQ(stolen.size(), 1u);
+  thief.install_stolen(std::move(stolen[0]));
   EXPECT_EQ(thief.stats().tasks_stolen_by_me, 1u);
   while (auto c = thief.pop_for_execution()) thief.execute(*c);
   ASSERT_EQ(remote_sends_.size(), 1u);
@@ -232,8 +232,8 @@ TEST_F(WorkerCoreTest, InstallMigratedRestoresState) {
 
 TEST_F(WorkerCoreTest, DeathRecoveryReenqueuesStolenTasks) {
   core_->spawn(leaf_id_, {Value(std::int64_t{1})}, remote_cont(), 0);
-  auto stolen = core_->try_steal(net::NodeId{7});
-  ASSERT_TRUE(stolen.has_value());
+  auto stolen = core_->try_steal_batch(net::NodeId{7}, 1);
+  ASSERT_EQ(stolen.size(), 1u);
   EXPECT_EQ(core_->ready_count(), 0u);
 
   const std::size_t redone = core_->handle_participant_death(net::NodeId{7});
@@ -247,7 +247,7 @@ TEST_F(WorkerCoreTest, DeathRecoveryReenqueuesStolenTasks) {
 
 TEST_F(WorkerCoreTest, DeathRecoveryIgnoresOtherThieves) {
   core_->spawn(leaf_id_, {Value(std::int64_t{1})}, remote_cont(), 0);
-  core_->try_steal(net::NodeId{7});
+  core_->try_steal_batch(net::NodeId{7}, 1);
   EXPECT_EQ(core_->handle_participant_death(net::NodeId{8}), 0u);
   EXPECT_EQ(core_->ready_count(), 0u);
 }
@@ -258,9 +258,9 @@ TEST_F(WorkerCoreTest, DeathRecoveryAbortsOrphanedStolenTasks) {
   WorkerCore victim(net::NodeId{2}, registry_, make_hooks());
   victim.spawn(leaf_id_, {Value(std::int64_t{1})},
                ContRef{ClosureId{net::NodeId{9}, 1}, 0, net::NodeId{9}}, 0);
-  auto stolen = victim.try_steal(core_->id());
-  ASSERT_TRUE(stolen.has_value());
-  core_->install_stolen(std::move(*stolen));
+  auto stolen = victim.try_steal_batch(core_->id(), 1);
+  ASSERT_EQ(stolen.size(), 1u);
+  core_->install_stolen(std::move(stolen[0]));
   EXPECT_EQ(core_->ready_count(), 1u);
 
   core_->handle_participant_death(net::NodeId{9});
@@ -375,8 +375,8 @@ TEST_F(WorkerCoreTest, RedoneTaskResultIsIdempotentDownstream) {
   const ClosureId join = core_->create_waiting(sum_id_, 2, remote_cont(), 0);
   core_->spawn(leaf_id_, {Value(std::int64_t{10})},
                core_->slot_ref(join, 0), 0);
-  auto stolen = core_->try_steal(net::NodeId{7});
-  ASSERT_TRUE(stolen.has_value());
+  auto stolen = core_->try_steal_batch(net::NodeId{7}, 1);
+  ASSERT_EQ(stolen.size(), 1u);
 
   // Thief executes and its result arrives...
   EXPECT_EQ(core_->deliver_remote(join, 0, Value(std::int64_t{10})),
@@ -396,7 +396,7 @@ TEST_F(WorkerCoreTest, RedoneTaskResultIsIdempotentDownstream) {
 
 TEST_F(WorkerCoreTest, ClearStealLedger) {
   core_->spawn(leaf_id_, {Value(std::int64_t{1})}, remote_cont(), 0);
-  core_->try_steal(net::NodeId{7});
+  core_->try_steal_batch(net::NodeId{7}, 1);
   core_->clear_steal_ledger();
   EXPECT_EQ(core_->handle_participant_death(net::NodeId{7}), 0u);
 }

@@ -23,13 +23,6 @@
 namespace phish::rt {
 namespace {
 
-// Tests below assert on emitted events; a PHISH_OBS_TRACING=0 build
-// compiles every emit away, so they skip themselves there.
-#define SKIP_WITHOUT_COMPILED_TRACING() \
-  do {                                  \
-    if (!PHISH_OBS_TRACING) GTEST_SKIP() << "built with PHISH_OBS_TRACING=0"; \
-  } while (0)
-
 SimJobConfig traced_config(int participants, std::uint64_t seed,
                            obs::Tracer* tracer) {
   SimJobConfig cfg;
@@ -51,7 +44,6 @@ std::map<obs::EventType, std::uint64_t> count_by_type(
 }
 
 TEST(SimTrace, EventCountsMatchWorkerStatsExactly) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, /*sequential_monomers=*/5);
   obs::Tracer tracer;
@@ -80,7 +72,6 @@ TEST(SimTrace, EventCountsMatchWorkerStatsExactly) {
 }
 
 TEST(SimTrace, ExecuteSpansCarryVirtualDurations) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/8);
   obs::Tracer tracer;
@@ -102,7 +93,6 @@ TEST(SimTrace, ExecuteSpansCarryVirtualDurations) {
 }
 
 TEST(SimTrace, ReclaimTraceMatchesMigrationCounters) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, /*sequential_monomers=*/5);
   obs::Tracer tracer;
@@ -131,7 +121,6 @@ TEST(SimTrace, ReclaimTraceMatchesMigrationCounters) {
 }
 
 TEST(SimTrace, CrashTraceRecordsRedo) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, /*sequential_monomers=*/5);
   obs::Tracer tracer;
@@ -202,7 +191,6 @@ obs::TraceData traced_migration_redo_replay(std::uint64_t seed,
 }
 
 TEST(SimTrace, MigrationRedoEventsAreTracedAndReplayByteStable) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   // Seed 26's steal pattern hands the reclaimed cargo to a worker that the
   // 2 s crash wave kills (a seed whose successor is worker 0 would make the
   // redelivery assertions vacuous).

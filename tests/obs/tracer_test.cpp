@@ -12,13 +12,6 @@
 namespace phish::obs {
 namespace {
 
-// Tests below assert on emitted events; a PHISH_OBS_TRACING=0 build
-// compiles every emit away, so they skip themselves there.
-#define SKIP_WITHOUT_COMPILED_TRACING() \
-  do {                                  \
-    if (!PHISH_OBS_TRACING) GTEST_SKIP() << "built with PHISH_OBS_TRACING=0"; \
-  } while (0)
-
 TEST(Tracer, ShardIsStablePerTid) {
   Tracer tracer;
   TraceShard* a = tracer.shard(3);
@@ -32,7 +25,6 @@ TEST(Tracer, ShardIsStablePerTid) {
 }
 
 TEST(Tracer, CollectSortsAcrossShards) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   Tracer tracer;
   TraceShard* w0 = tracer.shard(0);
   TraceShard* w1 = tracer.shard(1);
@@ -53,7 +45,6 @@ TEST(Tracer, CollectSortsAcrossShards) {
 }
 
 TEST(Tracer, TiesBreakDeterministically) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   Tracer tracer;
   tracer.shard(2)->emit(make_event(EventType::kSpawn, 2, 50));
   tracer.shard(1)->emit(make_event(EventType::kSpawn, 1, 50));
@@ -64,7 +55,6 @@ TEST(Tracer, TiesBreakDeterministically) {
 }
 
 TEST(Tracer, DisabledTracerRecordsNothing) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   Tracer tracer;
   TraceShard* shard = tracer.shard(0);
   tracer.set_enabled(false);
@@ -79,7 +69,6 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
 }
 
 TEST(Tracer, OverflowCountsAcrossShards) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   Tracer tracer(/*shard_capacity=*/4);
   TraceShard* a = tracer.shard(0);
   TraceShard* b = tracer.shard(1);
@@ -99,7 +88,6 @@ TEST(Tracer, OverflowCountsAcrossShards) {
 }
 
 TEST(Tracer, ConcurrentProducersAndLiveCollect) {
-  SKIP_WITHOUT_COMPILED_TRACING();
   // Each producer thread owns one shard (the SPSC contract); the main
   // thread collects while they run.  Nothing may be lost or duplicated.
   constexpr int kWorkers = 4;

@@ -1,13 +1,13 @@
-// Differential tests: the fast hot-path modes vs the seed's heap/eager
-// path, through identical scheduler code.
+// Differential tests: the task hot path against the seed path's numbers.
 //
-// The fast task hot path (closure pooling, lazy id materialization, in-place
+// The task hot path (closure pooling, lazy id materialization, in-place
 // argument assignment, fused LIFO spawn, the lock-free Chase–Lev ready
-// deque) must be a pure performance change: every CoreOptions combination —
-// the full {pooled, heap} × {lazy, eager} × {fused, plain} × {chase-lev,
-// ring} matrix — has to produce the same results, the same task counts, the
-// same scheduler statistics, and — under a deterministic clock — the same
-// trace bytes.  These tests pin that equivalence so a future hot-path tweak
+// deque) must be a pure performance change.  The seed's path — a heap
+// allocation and an eager id per closure, no fused register, the guarded
+// ring — is gone, so the numbers it produced are pinned here as literals:
+// the result, the scheduler statistics and, under a deterministic clock,
+// the trace bytes.  Both ready-deque backends are held to the same
+// literals, which also checks them against each other.  A hot-path tweak
 // that changes scheduling behavior (and not just its cost) fails loudly.
 #include <gtest/gtest.h>
 
@@ -29,65 +29,48 @@
 namespace phish {
 namespace {
 
-struct ModeParam {
-  std::string name;
+struct Backend {
+  const char* name;
   CoreOptions options;
 };
 
-/// The full mode matrix: allocation × id policy × spawn fusion × deque
-/// backend, 16 combinations.  Element 0 is the all-fast mode; the all-seed
-/// mode (heap, eager, unfused, guarded ring) is seed_mode() below.
-std::vector<ModeParam> all_modes() {
-  std::vector<ModeParam> out;
-  for (bool pooled : {true, false}) {
-    for (bool lazy : {true, false}) {
-      for (bool fused : {true, false}) {
-        for (bool lockfree : {true, false}) {
-          CoreOptions o;
-          o.lazy_spawn = lazy;
-          o.pooled_alloc = pooled;
-          o.fused_spawn = fused;
-          o.lockfree_deque = lockfree;
-          std::string name = std::string(pooled ? "pooled" : "heap") +
-                             (lazy ? "_lazy" : "_eager") +
-                             (fused ? "_fused" : "_plain") +
-                             (lockfree ? "_cl" : "_ring");
-          out.push_back(ModeParam{std::move(name), o});
-        }
-      }
-    }
-  }
-  return out;
-}
+const Backend kBackends[] = {
+    {"ring", CoreOptions{}},
+    {"chase-lev", CoreOptions{.lockfree_deque = true}},
+};
 
-CoreOptions seed_mode() {
-  CoreOptions o;
-  o.lazy_spawn = false;
-  o.pooled_alloc = false;
-  o.fused_spawn = false;
-  o.lockfree_deque = false;
-  return o;
-}
+/// The stats fields that define scheduling behavior, as the seed path
+/// produced them.
+struct SeedStats {
+  std::uint64_t executed;
+  std::uint64_t spawned;
+  std::uint64_t created;
+  std::uint64_t max_in_use;
+  std::uint64_t synchronizations;
+  std::uint64_t non_local;
+  std::uint64_t depth_total;
+  std::uint64_t stolen_from_me = 0;
+  std::uint64_t stolen_by_me = 0;
+};
 
-// The stats fields that define scheduling behavior.  Compared field by
-// field so a mismatch names the counter that diverged.
-void expect_same_stats(const WorkerStats& a, const WorkerStats& b,
+// Compared field by field so a mismatch names the counter that diverged.
+void expect_seed_stats(const WorkerStats& got, const SeedStats& want,
                        const std::string& label) {
-  EXPECT_EQ(a.tasks_executed, b.tasks_executed) << label;
-  EXPECT_EQ(a.tasks_spawned, b.tasks_spawned) << label;
-  EXPECT_EQ(a.closures_created, b.closures_created) << label;
-  EXPECT_EQ(a.max_tasks_in_use, b.max_tasks_in_use) << label;
-  EXPECT_EQ(a.synchronizations, b.synchronizations) << label;
-  EXPECT_EQ(a.non_local_synchs, b.non_local_synchs) << label;
-  EXPECT_EQ(a.args_duplicate, b.args_duplicate) << label;
-  EXPECT_EQ(a.args_unknown_closure, b.args_unknown_closure) << label;
-  EXPECT_EQ(a.executed_depth_total, b.executed_depth_total) << label;
-  EXPECT_EQ(a.tasks_stolen_from_me, b.tasks_stolen_from_me) << label;
-  EXPECT_EQ(a.tasks_stolen_by_me, b.tasks_stolen_by_me) << label;
+  EXPECT_EQ(got.tasks_executed, want.executed) << label;
+  EXPECT_EQ(got.tasks_spawned, want.spawned) << label;
+  EXPECT_EQ(got.closures_created, want.created) << label;
+  EXPECT_EQ(got.max_tasks_in_use, want.max_in_use) << label;
+  EXPECT_EQ(got.synchronizations, want.synchronizations) << label;
+  EXPECT_EQ(got.non_local_synchs, want.non_local) << label;
+  EXPECT_EQ(got.args_duplicate, 0u) << label;
+  EXPECT_EQ(got.args_unknown_closure, 0u) << label;
+  EXPECT_EQ(got.executed_depth_total, want.depth_total) << label;
+  EXPECT_EQ(got.tasks_stolen_from_me, want.stolen_from_me) << label;
+  EXPECT_EQ(got.tasks_stolen_by_me, want.stolen_by_me) << label;
 }
 
 // ---------------------------------------------------------------------------
-// Single-core runs: every mode computes the same value with the same stats.
+// Single-core runs: both backends compute the seed's value with its stats.
 // ---------------------------------------------------------------------------
 
 struct RunOutcome {
@@ -105,28 +88,23 @@ RunOutcome run_app(const CoreOptions& options, const TaskRegistry& registry,
 TEST(Differential, FibIdenticalAcrossModes) {
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/0);
-  const RunOutcome ref =
-      run_app(seed_mode(), reg, root, {Value(std::int64_t{18})});
-  EXPECT_EQ(ref.result.as_int(), apps::fib_serial(18));
-  for (const ModeParam& mode : all_modes()) {
+  for (const Backend& b : kBackends) {
     const RunOutcome got =
-        run_app(mode.options, reg, root, {Value(std::int64_t{18})});
-    EXPECT_EQ(got.result.as_int(), ref.result.as_int()) << mode.name;
-    expect_same_stats(got.stats, ref.stats, mode.name);
+        run_app(b.options, reg, root, {Value(std::int64_t{18})});
+    EXPECT_EQ(got.result.as_int(), apps::fib_serial(18)) << b.name;
+    expect_seed_stats(got.stats, {12'541, 8'361, 12'541, 20, 8'361, 1, 144'630},
+                      b.name);
   }
 }
 
 TEST(Differential, NQueensIdenticalAcrossModes) {
   TaskRegistry reg;
   const TaskId root = apps::register_nqueens(reg, /*sequential_rows=*/4);
-  const RunOutcome ref =
-      run_app(seed_mode(), reg, root, {Value(std::int64_t{8})});
-  EXPECT_EQ(ref.result.as_int(), apps::nqueens_serial(8));
-  for (const ModeParam& mode : all_modes()) {
+  for (const Backend& b : kBackends) {
     const RunOutcome got =
-        run_app(mode.options, reg, root, {Value(std::int64_t{8})});
-    EXPECT_EQ(got.result.as_int(), ref.result.as_int()) << mode.name;
-    expect_same_stats(got.stats, ref.stats, mode.name);
+        run_app(b.options, reg, root, {Value(std::int64_t{8})});
+    EXPECT_EQ(got.result.as_int(), apps::nqueens_serial(8)) << b.name;
+    expect_seed_stats(got.stats, {727, 536, 727, 23, 535, 1, 3'317}, b.name);
   }
 }
 
@@ -134,35 +112,33 @@ TEST(Differential, PfoldIdenticalAcrossModes) {
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, /*sequential_monomers=*/4);
   const Histogram expected = apps::pfold_serial(10);
-  const RunOutcome ref =
-      run_app(seed_mode(), reg, root, {Value(std::int64_t{10})});
-  EXPECT_EQ(apps::decode_histogram(ref.result.as_blob()), expected);
-  for (const ModeParam& mode : all_modes()) {
+  for (const Backend& b : kBackends) {
     const RunOutcome got =
-        run_app(mode.options, reg, root, {Value(std::int64_t{10})});
+        run_app(b.options, reg, root, {Value(std::int64_t{10})});
     EXPECT_EQ(apps::decode_histogram(got.result.as_blob()), expected)
-        << mode.name;
-    expect_same_stats(got.stats, ref.stats, mode.name);
+        << b.name;
+    expect_seed_stats(got.stats, {148, 110, 148, 14, 109, 1, 661}, b.name);
   }
 }
 
-// Exec-order sweep: the differential must hold for FIFO execution too (the
-// paper's Table 2 runs both disciplines).
-TEST(Differential, FifoExecutionIdenticalAcrossAllocationModes) {
+// FIFO execution (the paper's Table 2 runs both disciplines) has no fused
+// register and always uses the guarded ring.
+TEST(Differential, FifoExecutionMatchesSeedPath) {
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, 0);
-  CoreOptions fast{ExecOrder::kFifo, StealOrder::kLifo, true, true};
-  CoreOptions seed{ExecOrder::kFifo, StealOrder::kLifo, false, false};
-  const RunOutcome a = run_app(fast, reg, root, {Value(std::int64_t{14})});
-  const RunOutcome b = run_app(seed, reg, root, {Value(std::int64_t{14})});
-  EXPECT_EQ(a.result.as_int(), b.result.as_int());
-  expect_same_stats(a.stats, b.stats, "fifo");
+  const RunOutcome got =
+      run_app(CoreOptions{ExecOrder::kFifo, StealOrder::kLifo}, reg, root,
+              {Value(std::int64_t{14})});
+  EXPECT_EQ(got.result.as_int(), apps::fib_serial(14));
+  expect_seed_stats(got.stats, {1'828, 1'219, 1'828, 838, 1'219, 1, 15'807},
+                    "fifo");
 }
 
 // ---------------------------------------------------------------------------
-// Trace replay: under a deterministic clock, all modes produce byte-equal
-// trace files.  (With a tracer attached, lazy cores assign ids eagerly so
-// events stay named — the byte equality below is what pins that contract.)
+// Trace replay: under a deterministic clock, both backends produce the seed
+// path's trace bytes.  (With a tracer attached, lazy cores assign ids
+// eagerly so events stay named — the pinned bytes are what hold that
+// contract.)
 // ---------------------------------------------------------------------------
 
 // now() must be const (obs::VirtualClock adapts a const source); ticking is
@@ -191,17 +167,26 @@ Bytes traced_run_bytes(const CoreOptions& options) {
   return obs::encode_trace(data);
 }
 
+std::uint64_t fnv1a64(const Bytes& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 TEST(Differential, TraceBytesIdenticalAcrossModes) {
-  const Bytes ref = traced_run_bytes(seed_mode());
-  ASSERT_FALSE(ref.empty());
-  for (const ModeParam& mode : all_modes()) {
-    EXPECT_EQ(traced_run_bytes(mode.options), ref) << mode.name;
+  for (const Backend& b : kBackends) {
+    const Bytes got = traced_run_bytes(b.options);
+    EXPECT_EQ(got.size(), 219'417u) << b.name;
+    EXPECT_EQ(fnv1a64(got), 0x4813fd939e69cbb2ULL) << b.name;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Steals: lazy victims materialize ids at steal time; the stolen work and
-// the final result must match the eager/heap path.
+// the final result must match the seed path's.
 // ---------------------------------------------------------------------------
 
 // Two cores wired back-to-back in memory.  Remote sends are queued and
@@ -233,7 +218,7 @@ TwoCoreResult run_two_cores(const CoreOptions& options,
   victim.spawn(root, ArgSlots(std::move(args)), root_continuation(), 0);
   // Round-robin: each core runs a small batch, the thief steals when idle,
   // queued cross-core sends are delivered between batches.  Deterministic,
-  // so stats are comparable across modes.
+  // so stats can be pinned.
   bool work_left = true;
   while (work_left) {
     work_left = false;
@@ -279,18 +264,18 @@ TwoCoreResult run_two_cores(const CoreOptions& options,
 TEST(Differential, StealMaterializationMatchesSeedPath) {
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, 0);
-  const TwoCoreResult seed =
-      run_two_cores(seed_mode(), reg, root, {Value(std::int64_t{15})});
-  EXPECT_EQ(seed.result.as_int(), apps::fib_serial(15));
-  // The deterministic pump must actually have stolen something, or this
-  // test is vacuous.
-  EXPECT_GT(seed.victim.tasks_stolen_from_me, 0u);
-  for (const ModeParam& mode : all_modes()) {
+  for (const Backend& b : kBackends) {
     const TwoCoreResult got =
-        run_two_cores(mode.options, reg, root, {Value(std::int64_t{15})});
-    EXPECT_EQ(got.result.as_int(), apps::fib_serial(15)) << mode.name;
-    expect_same_stats(got.victim, seed.victim, mode.name + "/victim");
-    expect_same_stats(got.thief, seed.thief, mode.name + "/thief");
+        run_two_cores(b.options, reg, root, {Value(std::int64_t{15})});
+    EXPECT_EQ(got.result.as_int(), apps::fib_serial(15)) << b.name;
+    // The pump steals twice, so materialization is exercised.
+    expect_seed_stats(got.victim,
+                      {434, 291, 436, 15, 289, 1, 3'660, /*stolen_from_me=*/2},
+                      std::string(b.name) + "/victim");
+    expect_seed_stats(got.thief,
+                      {2'525, 1'682, 2'525, 16, 1'684, 2, 24'057, 0,
+                       /*stolen_by_me=*/2},
+                      std::string(b.name) + "/thief");
   }
 }
 
@@ -302,7 +287,6 @@ TEST(Differential, StealMaterializationMatchesSeedPath) {
 TEST(Differential, LazyMaterializedIdsAreUnique) {
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, 0);
-  CoreOptions lazy{ExecOrder::kLifo, StealOrder::kFifo, true, true};
   std::optional<Value> result;
   std::deque<std::pair<ContRef, Value>> wires;
   WorkerCore::Hooks hooks;
@@ -313,8 +297,8 @@ TEST(Differential, LazyMaterializedIdsAreUnique) {
     }
     wires.emplace_back(cont, std::move(value));
   };
-  WorkerCore victim(net::NodeId{0}, reg, hooks, lazy);
-  WorkerCore thief(net::NodeId{1}, reg, hooks, lazy);
+  WorkerCore victim(net::NodeId{0}, reg, hooks);
+  WorkerCore thief(net::NodeId{1}, reg, hooks);
   WorkerCore* cores[2] = {&victim, &thief};
   victim.spawn(root, {Value(std::int64_t{12})}, root_continuation(), 0);
   std::set<std::pair<std::uint32_t, std::uint64_t>> seen;

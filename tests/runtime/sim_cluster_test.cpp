@@ -251,6 +251,42 @@ TEST(SimCluster, StealThatOutlastsShortReplyLossNeedsNoRedo) {
   EXPECT_EQ(result.value.as_int(), apps::fib_serial(22));
 }
 
+TEST(SimCluster, StealCancelFollowsTheLedgerOfAReclaimedVictim) {
+  // Every frame from the victim (worker 0) to the thief (worker 1) is lost,
+  // so the thief's steal call fails after its last retransmission.  Before
+  // it gives up, the victim is reclaimed: its steal ledger, holding what it
+  // served that call, migrates to worker 2.  The thief's cancel reaches the
+  // departed victim, which must pass it on for worker 2 to redo the steal.
+  // Failure detection is off and the thief is alive, so nothing else ever
+  // redoes it: without the forwarded cancel the job never completes.
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/8);
+  SimJobConfig cfg = small_config(3, 5);
+  cfg.max_sim_time = 60 * sim::kSecond;
+  net::FaultPlan plan;
+  net::LinkRule rule;
+  rule.src = net::NodeId{1};
+  rule.dst = net::NodeId{2};
+  rule.drop = 1.0;
+  plan.links.push_back(rule);
+  plan.lossless_types = {proto::kArgument, proto::kMigrate};
+  plan.events.push_back(
+      {500 * sim::kMillisecond, net::NodeFaultKind::kReclaim, 0});
+  SimCluster cluster(reg, cfg);
+  cluster.apply_fault_plan(plan);
+  // Just before the reclaim: the thief's call to the victim is still
+  // retransmitting, and the victim holds ledger entries for it.
+  cluster.simulator().schedule(500 * sim::kMillisecond - 1, [&] {
+    EXPECT_TRUE(cluster.worker(1).steal_in_flight());
+    EXPECT_GT(cluster.worker(0).core().steal_ledger_size(), 0u);
+  });
+  const auto result = cluster.run(root, {Value(std::int64_t{22})});
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(22));
+  EXPECT_EQ(cluster.worker(0).depart_reason(),
+            SimWorker::DepartReason::kOwnerReclaimed);
+  EXPECT_GE(result.per_worker[2].tasks_redone, 1u);
+}
+
 TEST(SimCluster, ParticipantLifetimesAreConsistent) {
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, 6);

@@ -132,7 +132,7 @@ TEST(ThreadsStress, ConcurrentStealChurnManyThievesOneVictim) {
 
   std::uint64_t total_stolen = 0;
   for (int round = 0; round < kRounds; ++round) {
-    CoreOptions options;  // paper orders + full fast path ...
+    CoreOptions options;  // paper orders ...
     options.lockfree_deque = true;  // ... on the Chase–Lev backend
 
     std::mutex result_mutex;
