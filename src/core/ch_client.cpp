@@ -14,22 +14,11 @@ ClearinghouseClient::ClearinghouseClient(net::RpcNode& rpc,
   }
 }
 
-net::NodeId ClearinghouseClient::current() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return replicas_[index_];
-}
-
-std::uint64_t ClearinghouseClient::view() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return view_;
-}
-
 bool ClearinghouseClient::is_replica(net::NodeId n) const {
   return std::find(replicas_.begin(), replicas_.end(), n) != replicas_.end();
 }
 
 bool ClearinghouseClient::adopt(net::NodeId primary, std::uint64_t view) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (view <= view_) return false;  // stale announcement (demoted primary)
   const auto it = std::find(replicas_.begin(), replicas_.end(), primary);
   if (it == replicas_.end()) return false;
@@ -69,9 +58,8 @@ void ClearinghouseClient::call_attempt(std::uint16_t method, Bytes args,
 }
 
 void ClearinghouseClient::advance_past(net::NodeId failed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Only rotate if the ring still points at the replica that failed us;
-  // a concurrent adopt() or another call's failover has fresher knowledge.
+  // Only rotate if the ring still points at the replica that failed us; an
+  // adopt() or another call's failover since then has fresher knowledge.
   if (replicas_[index_] == failed) index_ = (index_ + 1) % replicas_.size();
 }
 

@@ -17,10 +17,9 @@
 //                         stale announcement from a demoted primary cannot
 //                         roll the ring backwards.
 //
-// Thread-safe; completions run on whatever thread the RpcNode uses.
+// Single-threaded, like the WorkerNode that owns it.
 #pragma once
 
-#include <mutex>
 #include <vector>
 
 #include "net/rpc.hpp"
@@ -32,9 +31,9 @@ class ClearinghouseClient {
   ClearinghouseClient(net::RpcNode& rpc, std::vector<net::NodeId> replicas);
 
   /// The replica currently believed to be primary.
-  net::NodeId current() const;
+  net::NodeId current() const { return replicas_[index_]; }
   /// The highest coordinator view this client has adopted.
-  std::uint64_t view() const;
+  std::uint64_t view() const { return view_; }
   bool is_replica(net::NodeId n) const;
   const std::vector<net::NodeId>& replicas() const { return replicas_; }
 
@@ -56,12 +55,11 @@ class ClearinghouseClient {
   void call_attempt(std::uint16_t method, Bytes args,
                     net::RpcNode::Completion on_done, net::RetryPolicy policy,
                     int tries_left);
-  /// Rotate past `failed` unless another thread already advanced the ring.
+  /// Rotate past `failed` unless the ring already moved on.
   void advance_past(net::NodeId failed);
 
   net::RpcNode& rpc_;
   const std::vector<net::NodeId> replicas_;
-  mutable std::mutex mutex_;
   std::size_t index_ = 0;
   std::uint64_t view_ = 1;  // the original primary serves view 1
 };

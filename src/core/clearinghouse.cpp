@@ -1,6 +1,7 @@
 #include "core/clearinghouse.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "core/recovery.hpp"
 #include "obs/metrics.hpp"
@@ -37,8 +38,8 @@ void Clearinghouse::install_primary_handlers() {
   rpc_.serve(proto::kRpcRegister, [this](net::NodeId src, const Bytes& args) {
     return handle_register(src, args);
   });
-  rpc_.serve(proto::kRpcUnregister, [this](net::NodeId src, const Bytes&) {
-    return handle_unregister(src);
+  rpc_.serve(proto::kRpcUnregister, [this](net::NodeId src, const Bytes& args) {
+    return handle_unregister(src, args);
   });
   rpc_.serve(proto::kRpcUpdate, [this](net::NodeId, const Bytes& args) {
     return handle_update(args);
@@ -63,7 +64,6 @@ void Clearinghouse::install_primary_handlers() {
 
 void Clearinghouse::start() {
   install_primary_handlers();
-  std::lock_guard<std::mutex> lock(mutex_);
   running_ = true;
   role_ = Role::kPrimary;
   if (config_.detect_failures) {
@@ -85,7 +85,6 @@ void Clearinghouse::start_standby(net::NodeId primary) {
   });
   rpc_.set_oneway_handler(
       [this](net::Message&& m) { handle_oneway(std::move(m)); });
-  std::lock_guard<std::mutex> lock(mutex_);
   role_ = Role::kStandby;
   peer_ = primary;
   running_ = true;
@@ -95,7 +94,6 @@ void Clearinghouse::start_standby(net::NodeId primary) {
 }
 
 void Clearinghouse::set_standby(net::NodeId standby) {
-  std::lock_guard<std::mutex> lock(mutex_);
   peer_ = standby;
   if (running_ && role_ == Role::kPrimary && !replicate_timer_.valid()) {
     replicate_timer_ = timers_.schedule(config_.replicate_period_ns,
@@ -104,7 +102,6 @@ void Clearinghouse::set_standby(net::NodeId standby) {
 }
 
 void Clearinghouse::stop() {
-  std::lock_guard<std::mutex> lock(mutex_);
   running_ = false;
   for (net::TimerToken* t : {&failure_timer_, &replicate_timer_,
                              &lease_timer_}) {
@@ -117,165 +114,91 @@ void Clearinghouse::stop() {
 
 void Clearinghouse::halt() {
   stop();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    role_ = Role::kHalted;
-  }
+  role_ = Role::kHalted;
   rpc_.set_paused(true);
 }
 
-Clearinghouse::Role Clearinghouse::role() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return role_;
-}
-
-std::uint64_t Clearinghouse::view() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return view_;
-}
-
-void Clearinghouse::set_on_result(std::function<void(const Value&)> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_result_ = std::move(fn);
-}
-
-void Clearinghouse::set_on_death(std::function<void(net::NodeId)> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_death_ = std::move(fn);
-}
-
-void Clearinghouse::set_on_membership_change(
-    std::function<void(std::size_t)> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_membership_change_ = std::move(fn);
-}
-
-void Clearinghouse::set_on_promoted(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_promoted_ = std::move(fn);
-}
-
-proto::Membership Clearinghouse::membership() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return membership_locked();
-}
-
-proto::Membership Clearinghouse::membership_locked() const {
-  proto::Membership m;
-  m.epoch = epoch_;
-  m.participants = participants_;
-  return m;
-}
-
-std::optional<Value> Clearinghouse::result() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return result_;
-}
-
-std::vector<proto::StatsMsg> Clearinghouse::stats_reports() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_reports_;
-}
-
-std::vector<proto::IoMsg> Clearinghouse::io_log() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return io_log_;
-}
-
-std::vector<net::NodeId> Clearinghouse::declared_dead() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dead_;
-}
-
-std::map<net::NodeId, std::uint64_t> Clearinghouse::join_times() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return join_times_;
-}
-
-std::size_t Clearinghouse::migration_ledger_size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return migration_ledger_.size();
+std::string Clearinghouse::describe() const {
+  static constexpr const char* kRoleNames[] = {"primary", "standby",
+                                               "demoted", "halted"};
+  std::ostringstream out;
+  out << "clearinghouse " << net::to_string(rpc_.id()) << ": "
+      << kRoleNames[static_cast<int>(role_)] << " view=" << view_
+      << " epoch=" << epoch_ << " participants=[";
+  const char* sep = "";
+  for (net::NodeId p : participants_) {
+    out << sep << net::to_string(p);
+    sep = " ";
+  }
+  out << "] ledger=[";
+  sep = "";
+  for (const auto& [mid, e] : migration_ledger_) {
+    out << sep << mid << ":" << net::to_string(e.record.from) << "->"
+        << net::to_string(e.record.holder);
+    sep = " ";
+  }
+  out << "]";
+  return out.str();
 }
 
 Bytes Clearinghouse::handle_register(net::NodeId src, const Bytes& args) {
   auto reg = proto::RegisterMsg::decode(args);
   const std::uint32_t inc = reg ? reg->incarnation : 1;
   const std::uint64_t known_epoch = reg ? reg->known_epoch : 0;
-  std::function<void(std::size_t)> notify;
-  std::function<void(net::NodeId)> notify_death;
-  std::size_t count = 0;
-  bool already_done = false;
-  bool implicit_death = false;
-  bool rejoined = false;
-  std::vector<net::NodeId> death_targets;
-  std::vector<PendingRedelivery> redeliveries;
-  std::uint64_t view = 0;
-  std::uint64_t now = 0;
-  Bytes reply;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    now = timers_.now_ns();
-    const auto known = incarnations_.find(src);
-    const std::uint32_t prev =
-        known == incarnations_.end() ? 0 : known->second;
-    if (inc < prev) {
-      // A previous incarnation's register arriving late: don't resurrect it.
-      return membership_locked().encode();
-    }
-    if (inc > prev) {
-      // `inc > 1` means some earlier incarnation of this node existed, even
-      // if we never saw it (a standby promotes without the incarnation map;
-      // incarnations start at 1 by construction).
-      rejoined = prev > 0 || inc > 1;
-      auto it = std::find(participants_.begin(), participants_.end(), src);
-      if (it != participants_.end() && rejoined) {
-        // Still listed under the older incarnation: the crash beat the
-        // heartbeat timeout (or a freshly promoted primary holds a stale
-        // snapshot).  That incarnation is implicitly dead — survivors must
-        // redo its stolen work before the replacement is admitted.
-        participants_.erase(it);
-        dead_.push_back(src);
-        ++epoch_;
-        log_change_locked(src, /*joined=*/false);
-        implicit_death = true;
-        death_targets = participants_;  // src is already gone from the list
-        drop_migrations_from_locked(src);
-      }
-    }
-    incarnations_[src] = inc;
-    if (std::find(participants_.begin(), participants_.end(), src) ==
-        participants_.end()) {
-      participants_.push_back(src);
-      ++epoch_;
-      log_change_locked(src, /*joined=*/true);
-      join_times_.emplace(src, now);
-    }
-    last_heartbeat_[src] = now;
-    // A caller that presented its known epoch opted into delta replies; a
-    // legacy caller (known_epoch == 0) gets the full snapshot it expects.
-    if (known_epoch > 0) {
-      reply = membership_update_locked(known_epoch).encode();
-    } else {
-      reply = membership_locked().encode();
-      obs::Registry::global().counter("ch.membership.full_replies").inc();
-    }
-    notify = on_membership_change_;
-    notify_death = on_death_;
-    count = participants_.size();
-    already_done = result_.has_value();
-    view = view_;
-    // An implicit death may have orphaned ledgered cargo (the old
-    // incarnation held it), and a fresh joiner may unblock an entry that
-    // had no eligible redelivery target.
-    redeliveries = scan_migrations_locked();
+  const std::uint64_t now = timers_.now_ns();
+  const auto known = incarnations_.find(src);
+  const std::uint32_t prev = known == incarnations_.end() ? 0 : known->second;
+  if (inc < prev) {
+    // A previous incarnation's register arriving late: don't resurrect it.
+    return membership().encode();
   }
-  send_redeliveries(std::move(redeliveries));
-  if (implicit_death) {
+  bool rejoined = false;
+  std::optional<std::vector<net::NodeId>> death_targets;
+  if (inc > prev) {
+    // `inc > 1` means some earlier incarnation of this node existed, even
+    // if we never saw it (incarnations start at 1 by construction).
+    rejoined = prev > 0 || inc > 1;
+    auto it = std::find(participants_.begin(), participants_.end(), src);
+    if (it != participants_.end() && rejoined) {
+      // Still listed under the older incarnation: the crash beat the
+      // heartbeat timeout (or a freshly promoted primary holds a stale
+      // snapshot).  That incarnation is implicitly dead — survivors must
+      // redo its stolen work before the replacement is admitted.
+      participants_.erase(it);
+      dead_.push_back(src);
+      ++epoch_;
+      log_change(src, /*joined=*/false);
+      death_targets = participants_;  // src is gone from the list
+      drop_migrations_from(src);
+    }
+  }
+  incarnations_[src] = inc;
+  if (std::find(participants_.begin(), participants_.end(), src) ==
+      participants_.end()) {
+    participants_.push_back(src);
+    ++epoch_;
+    log_change(src, /*joined=*/true);
+  }
+  last_heartbeat_[src] = now;
+  // A caller that presented its known epoch opted into delta replies; a
+  // legacy caller (known_epoch == 0) gets the full snapshot it expects.
+  Bytes reply;
+  if (known_epoch > 0) {
+    reply = membership_update(known_epoch).encode();
+  } else {
+    reply = membership().encode();
+    obs::Registry::global().counter("ch.membership.full_replies").inc();
+  }
+  // An implicit death may have orphaned ledgered cargo (the old incarnation
+  // held it), and a fresh joiner may unblock an entry that had no eligible
+  // redelivery target.
+  redeliver_orphans();
+  if (death_targets) {
     PHISH_LOG(kInfo) << "clearinghouse: " << net::to_string(src)
                      << " re-registered as incarnation " << inc
                      << "; declaring its previous incarnation dead";
-    broadcast_death(src, death_targets, view);
-    if (notify_death) notify_death(src);
+    broadcast_death(src, *death_targets);
+    if (on_death_) on_death_(src);
   }
   if (rejoined && tracker_ != nullptr) {
     tracker_->note_rejoin();
@@ -284,65 +207,62 @@ Bytes Clearinghouse::handle_register(net::NodeId src, const Bytes& args) {
     // there is no window and the tracker counts the inversion instead.
     tracker_->note_up(src.value, now);
   }
-  if (already_done) {
+  if (result_.has_value()) {
     // The job finished while this worker was joining (the shutdown broadcast
     // predates its membership): tell it directly.
     rpc_.send_oneway(src, proto::kShutdown, {});
   }
-  if (notify) notify(count);
+  if (on_membership_change_) on_membership_change_(participants_.size());
   return reply;
 }
 
-Bytes Clearinghouse::handle_unregister(net::NodeId src) {
-  std::function<void(std::size_t)> notify;
-  std::size_t count = 0;
-  Bytes reply;
-  std::vector<std::pair<net::NodeId, std::uint64_t>> retires;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = std::find(participants_.begin(), participants_.end(), src);
-    if (it != participants_.end()) {
-      participants_.erase(it);
-      ++epoch_;
-      log_change_locked(src, /*joined=*/false);
-    }
-    last_heartbeat_.erase(src);
-    // A graceful unregister means src finished or handed off everything it
-    // held: entries naming it as holder are completed obligations.  (A
-    // departing worker with cargo registers its own migration first, which
-    // already retired these via the superseding-drain rule.)
-    for (auto mit = migration_ledger_.begin();
-         mit != migration_ledger_.end();) {
-      if (mit->second.record.holder == src) {
-        const net::NodeId origin = mit->second.record.from;
-        if (origin.valid() && origin != src) {
-          retires.emplace_back(origin, mit->first);
-        }
-        mit = migration_ledger_.erase(mit);
-      } else {
-        ++mit;
-      }
-    }
-    reply = membership_locked().encode();
-    notify = on_membership_change_;
-    count = participants_.size();
+Bytes Clearinghouse::handle_unregister(net::NodeId src, const Bytes& args) {
+  auto unreg = proto::UnregisterMsg::decode(args);
+  const std::uint32_t inc = unreg ? unreg->incarnation : 1;
+  const auto known = incarnations_.find(src);
+  if (known != incarnations_.end() && inc < known->second) {
+    // A previous incarnation's unregister arriving late (a retransmit that
+    // outlived its crash and rejoin): the live incarnation stays listed, or
+    // nothing would ever declare it dead.
+    PHISH_LOG(kInfo) << "clearinghouse: ignoring the unregister of "
+                     << net::to_string(src) << " incarnation " << inc
+                     << " (incarnation " << known->second << " is live)";
+    return membership().encode();
   }
-  send_retirements(retires);
-  if (notify) notify(count);
-  return reply;
+  auto it = std::find(participants_.begin(), participants_.end(), src);
+  if (it != participants_.end()) {
+    participants_.erase(it);
+    ++epoch_;
+    log_change(src, /*joined=*/false);
+  }
+  last_heartbeat_.erase(src);
+  // A graceful unregister means src finished or handed off everything it
+  // held: entries naming it as holder are completed obligations.  (A
+  // departing worker with cargo registers its own migration first, which
+  // already retired these via the superseding-drain rule.)
+  for (auto mit = migration_ledger_.begin(); mit != migration_ledger_.end();) {
+    if (mit->second.record.holder == src) {
+      const net::NodeId origin = mit->second.record.from;
+      if (origin.valid() && origin != src) send_retirement(origin, mit->first);
+      mit = migration_ledger_.erase(mit);
+    } else {
+      ++mit;
+    }
+  }
+  if (on_membership_change_) on_membership_change_(participants_.size());
+  return membership().encode();
 }
 
 Bytes Clearinghouse::handle_update(const Bytes& args) {
   const auto req = proto::UpdateRequest::decode(args);
   const std::uint64_t since = req ? req->since_epoch : 0;
-  std::lock_guard<std::mutex> lock(mutex_);
   // since == 0 is both "legacy caller" (empty payload) and "knows nothing";
   // either way the full snapshot is the right answer.
   if (since == 0) {
     obs::Registry::global().counter("ch.membership.full_replies").inc();
-    return membership_locked().encode();
+    return membership().encode();
   }
-  return membership_update_locked(since).encode();
+  return membership_update(since).encode();
 }
 
 Bytes Clearinghouse::handle_migration_ledger(net::NodeId src,
@@ -354,82 +274,72 @@ Bytes Clearinghouse::handle_migration_ledger(net::NodeId src,
     reply.boolean(false);
     return reply.take();
   }
-  std::vector<PendingRedelivery> sends;
-  std::vector<std::pair<net::NodeId, std::uint64_t>> retires;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = migration_ledger_.find(msg->migration_id);
-    if (it == migration_ledger_.end()) {
-      // Registration.  The origin drained its whole core and steal ledger
-      // into this record, so any entry it currently holds (cargo it adopted
-      // from an earlier migration) is subsumed: retire those first, exactly
-      // like a worker's superseding drain retires its inbound obligations.
-      for (auto old = migration_ledger_.begin();
-           old != migration_ledger_.end();) {
-        if (old->second.record.holder == msg->from &&
-            !old->second.redelivery_in_flight) {
-          // The superseding snapshot carries every fill the old cargo ever
-          // absorbed, so the old entry's origin stub no longer needs its
-          // replay log for this migration.
-          if (old->second.record.from.valid()) {
-            retires.emplace_back(old->second.record.from, old->first);
-          }
-          old = migration_ledger_.erase(old);
-        } else {
-          ++old;
+  auto it = migration_ledger_.find(msg->migration_id);
+  if (it == migration_ledger_.end()) {
+    // Registration.  The origin drained its whole core and steal ledger
+    // into this record, so any entry it currently holds (cargo it adopted
+    // from an earlier migration) is subsumed: retire those first, exactly
+    // like a worker's superseding drain retires its inbound obligations.
+    for (auto old = migration_ledger_.begin();
+         old != migration_ledger_.end();) {
+      if (old->second.record.holder == msg->from &&
+          !old->second.redelivery_in_flight) {
+        // The superseding snapshot carries every fill the old cargo ever
+        // absorbed, so the old entry's origin stub no longer needs its
+        // replay log for this migration.
+        if (old->second.record.from.valid()) {
+          send_retirement(old->second.record.from, old->first);
         }
-      }
-      MigrationEntry e;
-      e.record = std::move(*msg);
-      const auto inc = incarnations_.find(e.record.holder);
-      e.holder_inc = inc == incarnations_.end() ? 0 : inc->second;
-      migration_ledger_.emplace(e.record.migration_id, std::move(e));
-    } else {
-      // Holder update (or a registration retransmit hitting the reply
-      // cache miss path): re-point the entry.  The cargo snapshot stored at
-      // registration stays authoritative — the update carries none.
-      //
-      // One exception: once the step-3 confirm moved the holder off the
-      // origin, a late duplicate of the ORIGINAL registration (holder ==
-      // from, reordered or retransmitted past the reply cache) must not
-      // re-point the entry back.  The handshake never legitimately returns
-      // a holder to its origin (successors are drawn from the origin's
-      // peer list, which excludes it, and redelivery skips `from` too), and
-      // accepting the stale frame would let the origin's graceful
-      // unregister retire the entry — stranding the successor's inherited
-      // cargo, the exact window this ledger exists to close.
-      MigrationEntry& e = it->second;
-      const bool stale_registration_replay =
-          msg->holder == e.record.from && e.record.holder != e.record.from;
-      if (!stale_registration_replay) {
-        e.record.holder = msg->holder;
-        const auto inc = incarnations_.find(msg->holder);
-        e.holder_inc = inc == incarnations_.end() ? 0 : inc->second;
+        old = migration_ledger_.erase(old);
+      } else {
+        ++old;
       }
     }
-    // The named holder may already be dead (it crashed between accepting
-    // the cargo and this update arriving): redeliver immediately rather
-    // than waiting for the next failure-detector tick.
-    sends = scan_migrations_locked();
+    MigrationEntry e;
+    e.record = std::move(*msg);
+    const auto inc = incarnations_.find(e.record.holder);
+    e.holder_inc = inc == incarnations_.end() ? 0 : inc->second;
+    migration_ledger_.emplace(e.record.migration_id, std::move(e));
+  } else {
+    // Holder update (or a registration retransmit hitting the reply
+    // cache miss path): re-point the entry.  The cargo snapshot stored at
+    // registration stays authoritative — the update carries none.
+    //
+    // One exception: once the step-3 confirm moved the holder off the
+    // origin, a late duplicate of the ORIGINAL registration (holder ==
+    // from, reordered or retransmitted past the reply cache) must not
+    // re-point the entry back.  The handshake never legitimately returns
+    // a holder to its origin (successors are drawn from the origin's
+    // peer list, which excludes it, and redelivery skips `from` too), and
+    // accepting the stale frame would let the origin's graceful
+    // unregister retire the entry — stranding the successor's inherited
+    // cargo, the exact window this ledger exists to close.
+    MigrationEntry& e = it->second;
+    const bool stale_registration_replay =
+        msg->holder == e.record.from && e.record.holder != e.record.from;
+    if (!stale_registration_replay) {
+      e.record.holder = msg->holder;
+      const auto inc = incarnations_.find(msg->holder);
+      e.holder_inc = inc == incarnations_.end() ? 0 : inc->second;
+    }
   }
-  send_retirements(retires);
-  send_redeliveries(std::move(sends));
+  // The named holder may already be dead (it crashed between accepting
+  // the cargo and this update arriving): redeliver immediately rather
+  // than waiting for the next failure-detector tick.
+  redeliver_orphans();
   reply.boolean(true);
   return reply.take();
 }
 
-void Clearinghouse::send_retirements(
-    const std::vector<std::pair<net::NodeId, std::uint64_t>>& retires) {
-  for (const auto& [origin, mid] : retires) {
-    const Bytes notice =
-        proto::ControlMsg{proto::ControlMsg::kMigrationRetired, origin, mid}
-            .encode();
-    rpc_.call(origin, proto::kRpcControl, notice, [](net::RpcResult) {},
-              kControlPolicy);
-  }
+void Clearinghouse::send_retirement(net::NodeId origin, std::uint64_t mid) {
+  const Bytes notice =
+      proto::ControlMsg{proto::ControlMsg::kMigrationRetired, origin, mid}
+          .encode();
+  rpc_.call(origin, proto::kRpcControl, notice, [](net::RpcResult) {},
+            kControlPolicy);
 }
 
-void Clearinghouse::drop_migrations_from_locked(net::NodeId dead) {
+void Clearinghouse::drop_migrations_from(net::NodeId dead) {
   for (auto it = migration_ledger_.begin(); it != migration_ledger_.end();) {
     if (it->second.record.from == dead) {
       // The origin crashed: its victims' incarnation-blind death-redo
@@ -444,10 +354,8 @@ void Clearinghouse::drop_migrations_from_locked(net::NodeId dead) {
   }
 }
 
-std::vector<Clearinghouse::PendingRedelivery>
-Clearinghouse::scan_migrations_locked() {
-  std::vector<PendingRedelivery> sends;
-  if (role_ != Role::kPrimary || !running_) return sends;
+void Clearinghouse::redeliver_orphans() {
+  if (role_ != Role::kPrimary || !running_) return;
   const auto is_participant = [this](net::NodeId n) {
     return std::find(participants_.begin(), participants_.end(), n) !=
            participants_.end();
@@ -472,7 +380,7 @@ Clearinghouse::scan_migrations_locked() {
       continue;
     }
     if (ever_died(e.record.from) && !is_participant(e.record.from)) {
-      drop_migrations_from_locked(e.record.from);
+      drop_migrations_from(e.record.from);
       it = migration_ledger_.begin();  // iterator invalidated by the drop
       continue;
     }
@@ -499,78 +407,64 @@ Clearinghouse::scan_migrations_locked() {
       ++it;  // nobody can take it yet; retry when membership changes
       continue;
     }
-    proto::MigrateMsg m;
-    m.from = rec.from;
-    m.closures = rec.closures;
-    m.migration_id = rec.migration_id;
-    m.redelivery = true;
-    m.ledger = rec.ledger;
-    PendingRedelivery p;
-    p.target = target;
-    p.migration_id = rec.migration_id;
-    p.cargo_count = rec.closures.size();
-    p.payload = m.encode();
     e.redelivery_in_flight = true;
-    sends.push_back(std::move(p));
+    send_redelivery(target, rec);
     ++it;
   }
-  return sends;
 }
 
-void Clearinghouse::send_redeliveries(std::vector<PendingRedelivery> sends) {
-  for (PendingRedelivery& s : sends) {
-    const net::NodeId target = s.target;
-    const std::uint64_t mid = s.migration_id;
-    const std::size_t cargo = s.cargo_count;
-    PHISH_LOG(kInfo) << "clearinghouse: re-delivering migration " << mid
-                     << " (" << cargo << " closures) to "
-                     << net::to_string(target);
-    rpc_.call(
-        target, proto::kRpcMigrate, std::move(s.payload),
-        [this, target, mid, cargo](net::RpcResult r) {
-          bool accepted = false;
-          if (r.ok) {
-            Reader rd(r.reply);
-            accepted = rd.boolean() && rd.ok();
-          }
-          net::NodeId origin{};
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = migration_ledger_.find(mid);
-            if (it == migration_ledger_.end()) return;
-            it->second.redelivery_in_flight = false;
-            if (!accepted) return;  // next failure-check scan retries
-            it->second.record.holder = target;
-            const auto inc = incarnations_.find(target);
-            it->second.holder_inc =
-                inc == incarnations_.end() ? 0 : inc->second;
-            origin = it->second.record.from;
-          }
-          if (tracker_ != nullptr) tracker_->note_migration_redo(cargo);
-          // Re-target the departed origin's forwarding stub at the new
-          // holder and have it replay the argument fills it logged since
-          // the drain — without this, fills routed through the stub while
-          // the old holder was dying would be lost.
-          if (origin.valid() && origin != target) {
-            const Bytes reroute =
-                proto::ControlMsg{proto::ControlMsg::kReroute, target, mid}
-                    .encode();
-            rpc_.call(origin, proto::kRpcControl, reroute,
-                      [](net::RpcResult) {}, kControlPolicy);
-          }
-        },
-        kControlPolicy);
-  }
+void Clearinghouse::send_redelivery(net::NodeId target,
+                                    const proto::MigrationLedgerMsg& rec) {
+  const std::uint64_t mid = rec.migration_id;
+  const std::size_t cargo = rec.closures.size();
+  PHISH_LOG(kInfo) << "clearinghouse: re-delivering migration " << mid << " ("
+                   << cargo << " closures) to " << net::to_string(target);
+  proto::MigrateMsg m;
+  m.from = rec.from;
+  m.closures = rec.closures;
+  m.migration_id = mid;
+  m.redelivery = true;
+  m.ledger = rec.ledger;
+  rpc_.call(
+      target, proto::kRpcMigrate, m.encode(),
+      [this, target, mid, cargo](net::RpcResult r) {
+        bool accepted = false;
+        if (r.ok) {
+          Reader rd(r.reply);
+          accepted = rd.boolean() && rd.ok();
+        }
+        auto it = migration_ledger_.find(mid);
+        if (it == migration_ledger_.end()) return;
+        it->second.redelivery_in_flight = false;
+        if (!accepted) return;  // next failure-check scan retries
+        it->second.record.holder = target;
+        const auto inc = incarnations_.find(target);
+        it->second.holder_inc = inc == incarnations_.end() ? 0 : inc->second;
+        const net::NodeId origin = it->second.record.from;
+        if (tracker_ != nullptr) tracker_->note_migration_redo(cargo);
+        // Re-target the departed origin's forwarding stub at the new
+        // holder and have it replay the argument fills it logged since
+        // the drain — without this, fills routed through the stub while
+        // the old holder was dying would be lost.
+        if (origin.valid() && origin != target) {
+          const Bytes reroute =
+              proto::ControlMsg{proto::ControlMsg::kReroute, target, mid}
+                  .encode();
+          rpc_.call(origin, proto::kRpcControl, reroute, [](net::RpcResult) {},
+                    kControlPolicy);
+        }
+      },
+      kControlPolicy);
 }
 
-void Clearinghouse::log_change_locked(net::NodeId node, bool joined) {
+void Clearinghouse::log_change(net::NodeId node, bool joined) {
   change_log_.push_back(EpochChange{epoch_, node, joined});
   while (change_log_.size() > kMembershipLogLimit) {
     change_log_.pop_front();
   }
 }
 
-proto::MembershipUpdate Clearinghouse::membership_update_locked(
+proto::MembershipUpdate Clearinghouse::membership_update(
     std::uint64_t since_epoch) const {
   proto::MembershipUpdate u;
   u.epoch = epoch_;
@@ -617,7 +511,6 @@ proto::MembershipUpdate Clearinghouse::membership_update_locked(
 
 Bytes Clearinghouse::handle_delta(net::NodeId, const Bytes& args) {
   auto d = proto::ChDeltaMsg::decode(args);
-  std::lock_guard<std::mutex> lock(mutex_);
   proto::ChDeltaAck ack;
   if (!d || role_ != Role::kStandby || d->view < view_) {
     // Not a standby any more (or a stale sender): fence the caller.  A
@@ -648,9 +541,12 @@ Bytes Clearinghouse::handle_delta(net::NodeId, const Bytes& args) {
         stats_reports_.push_back(d->stats[i]);
       }
     }
+    incarnations_.clear();
+    for (const auto& [node, inc] : d->incarnations) incarnations_[node] = inc;
     // The delta ships the whole migration ledger: rebuild rather than
-    // merge.  holder_inc stays 0 (the standby has no incarnation map), so
-    // after a promotion only membership-based orphan checks apply.
+    // merge.  holder_inc stays 0 (the incarnation a holder had when it took
+    // the cargo is not replicated), so after a promotion only
+    // membership-based orphan checks apply.
     migration_ledger_.clear();
     for (auto& mig : d->migrations) {
       MigrationEntry e;
@@ -672,16 +568,12 @@ void Clearinghouse::handle_oneway(net::Message&& message) {
     // Both roles track liveness: workers heartbeat every replica, so a
     // promoted standby starts with a warm map instead of declaring everyone
     // dead at once.
-    std::lock_guard<std::mutex> lock(mutex_);
     last_heartbeat_[message.src] = timers_.now_ns();
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // A standby's only other legitimate input is the delta RPC; io or stats
-    // that strayed here would corrupt the watermark-replicated logs.
-    if (role_ != Role::kPrimary) return;
-  }
+  // A standby's only other legitimate input is the delta RPC; io or stats
+  // that strayed here would corrupt the watermark-replicated logs.
+  if (role_ != Role::kPrimary) return;
   switch (message.type) {
     case proto::kArgument: {
       auto arg = proto::ArgumentMsg::decode(message.payload);
@@ -696,14 +588,12 @@ void Clearinghouse::handle_oneway(net::Message&& message) {
     case proto::kStatsReport: {
       auto stats = proto::StatsMsg::decode(message.payload);
       if (!stats) return;
-      std::lock_guard<std::mutex> lock(mutex_);
       stats_reports_.push_back(std::move(*stats));
       break;
     }
     case proto::kIo: {
       auto io = proto::IoMsg::decode(message.payload);
       if (!io) return;
-      std::lock_guard<std::mutex> lock(mutex_);
       io_log_.push_back(std::move(*io));
       break;
     }
@@ -714,81 +604,58 @@ void Clearinghouse::handle_oneway(net::Message&& message) {
 }
 
 void Clearinghouse::accept_result(net::NodeId, Value value) {
-  std::function<void(const Value&)> notify;
-  std::vector<net::NodeId> targets;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (result_.has_value()) return;  // duplicate (redo or retransmit)
-    result_ = value;
-    notify = on_result_;
-    targets = participants_;
-  }
+  if (result_.has_value()) return;  // duplicate (redo or retransmit)
+  result_ = value;
   // The job is done: tell every participant to shut down.
-  for (net::NodeId p : targets) {
+  for (net::NodeId p : participants_) {
     rpc_.send_oneway(p, proto::kShutdown, {});
   }
-  if (notify) notify(value);
+  if (on_result_) on_result_(value);
 }
 
 void Clearinghouse::check_failures() {
+  if (!running_ || role_ != Role::kPrimary) return;
+  const std::uint64_t now = timers_.now_ns();
   std::vector<net::NodeId> newly_dead;
-  std::vector<net::NodeId> survivors;
-  std::vector<PendingRedelivery> redeliveries;
-  std::function<void(net::NodeId)> notify_death;
-  std::function<void(std::size_t)> notify_membership;
-  std::uint64_t view = 0;
-  std::uint64_t now = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ || role_ != Role::kPrimary) return;
-    now = timers_.now_ns();
-    for (auto it = participants_.begin(); it != participants_.end();) {
-      const auto hb = last_heartbeat_.find(*it);
-      const std::uint64_t last = hb == last_heartbeat_.end() ? 0 : hb->second;
-      if (now - last > config_.heartbeat_timeout_ns) {
-        newly_dead.push_back(*it);
-        dead_.push_back(*it);
-        last_heartbeat_.erase(*it);
-        ++epoch_;
-        log_change_locked(*it, /*joined=*/false);
-        it = participants_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = participants_.begin(); it != participants_.end();) {
+    const auto hb = last_heartbeat_.find(*it);
+    const std::uint64_t last = hb == last_heartbeat_.end() ? 0 : hb->second;
+    if (now - last > config_.heartbeat_timeout_ns) {
+      newly_dead.push_back(*it);
+      dead_.push_back(*it);
+      last_heartbeat_.erase(*it);
+      ++epoch_;
+      log_change(*it, /*joined=*/false);
+      it = participants_.erase(it);
+    } else {
+      ++it;
     }
-    for (net::NodeId dead : newly_dead) drop_migrations_from_locked(dead);
-    // Every tick doubles as the retry loop for redeliveries that were
-    // rejected or lost in flight.
-    redeliveries = scan_migrations_locked();
-    survivors = participants_;
-    notify_death = on_death_;
-    notify_membership = on_membership_change_;
-    view = view_;
-    // Re-arm.
-    failure_timer_ = timers_.schedule(config_.failure_check_period_ns,
-                                      [this] { check_failures(); });
   }
+  for (net::NodeId dead : newly_dead) drop_migrations_from(dead);
+  failure_timer_ = timers_.schedule(config_.failure_check_period_ns,
+                                    [this] { check_failures(); });
   for (net::NodeId dead : newly_dead) {
     PHISH_LOG(kInfo) << "clearinghouse: participant " << net::to_string(dead)
                      << " declared dead";
     if (tracker_ != nullptr) tracker_->note_down(dead.value, now);
-    broadcast_death(dead, survivors, view);
-    if (notify_death) notify_death(dead);
+    broadcast_death(dead, participants_);
+    if (on_death_) on_death_(dead);
   }
-  send_redeliveries(std::move(redeliveries));
-  if (!newly_dead.empty() && notify_membership) {
-    notify_membership(survivors.size());
+  // Every tick doubles as the retry loop for redeliveries that were
+  // rejected or lost in flight.
+  redeliver_orphans();
+  if (!newly_dead.empty() && on_membership_change_) {
+    on_membership_change_(participants_.size());
   }
 }
 
 void Clearinghouse::broadcast_death(net::NodeId dead,
-                                    const std::vector<net::NodeId>& to,
-                                    std::uint64_t view) {
+                                    const std::vector<net::NodeId>& to) {
   // Death notices drive redo; a lost one would strand stolen work forever.
   // They ride the acked RPC path (retransmitted until each peer confirms),
   // not the old best-effort kDead oneway.
   const Bytes payload =
-      proto::ControlMsg{proto::ControlMsg::kDeadNotice, dead, view}.encode();
+      proto::ControlMsg{proto::ControlMsg::kDeadNotice, dead, view_}.encode();
   for (net::NodeId p : to) {
     rpc_.call(p, proto::kRpcControl, payload, [](net::RpcResult) {},
               kControlPolicy);
@@ -796,93 +663,75 @@ void Clearinghouse::broadcast_death(net::NodeId dead,
 }
 
 void Clearinghouse::replicate_tick() {
-  Bytes payload;
-  net::NodeId standby{};
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ || role_ != Role::kPrimary || !peer_.valid()) return;
-    replicate_timer_ = timers_.schedule(config_.replicate_period_ns,
-                                        [this] { replicate_tick(); });
-    if (delta_in_flight_) return;  // don't pile deltas on a slow standby
-    proto::ChDeltaMsg d;
-    d.seq = ++delta_seq_;
-    d.view = view_;
-    d.epoch = epoch_;
-    d.participants = participants_;
-    d.dead = dead_;
-    d.result = result_;
-    d.io_base = io_acked_;
-    for (std::size_t i = io_acked_;
-         i < io_log_.size() && d.io.size() < kMaxDeltaTail; ++i) {
-      d.io.push_back(io_log_[i]);
-    }
-    d.stats_base = stats_acked_;
-    for (std::size_t i = stats_acked_;
-         i < stats_reports_.size() && d.stats.size() < kMaxDeltaTail;
-         ++i) {
-      d.stats.push_back(stats_reports_[i]);
-    }
-    // Full migration-ledger snapshot each delta: the ledger is small (one
-    // entry per in-flight graceful departure) and a promoted standby must
-    // be able to redeliver orphaned cargo on its own.
-    for (const auto& [mid, entry] : migration_ledger_) {
-      d.migrations.push_back(entry.record);
-    }
-    payload = d.encode();
-    standby = peer_;
-    delta_in_flight_ = true;
+  if (!running_ || role_ != Role::kPrimary || !peer_.valid()) return;
+  replicate_timer_ = timers_.schedule(config_.replicate_period_ns,
+                                      [this] { replicate_tick(); });
+  if (delta_in_flight_) return;  // don't pile deltas on a slow standby
+  proto::ChDeltaMsg d;
+  d.seq = ++delta_seq_;
+  d.view = view_;
+  d.epoch = epoch_;
+  d.participants = participants_;
+  d.dead = dead_;
+  d.result = result_;
+  d.io_base = io_acked_;
+  for (std::size_t i = io_acked_;
+       i < io_log_.size() && d.io.size() < kMaxDeltaTail; ++i) {
+    d.io.push_back(io_log_[i]);
   }
+  d.stats_base = stats_acked_;
+  for (std::size_t i = stats_acked_;
+       i < stats_reports_.size() && d.stats.size() < kMaxDeltaTail; ++i) {
+    d.stats.push_back(stats_reports_[i]);
+  }
+  // Full migration-ledger snapshot each delta: the ledger is small (one
+  // entry per in-flight graceful departure) and a promoted standby must be
+  // able to redeliver orphaned cargo on its own.
+  for (const auto& [mid, entry] : migration_ledger_) {
+    d.migrations.push_back(entry.record);
+  }
+  d.incarnations.assign(incarnations_.begin(), incarnations_.end());
+  delta_in_flight_ = true;
   rpc_.call(
-      standby, proto::kRpcChDelta, std::move(payload),
+      peer_, proto::kRpcChDelta, d.encode(),
       [this](net::RpcResult r) {
-        bool demoted = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          delta_in_flight_ = false;
-          if (!r.ok) return;  // next tick retries from the same watermarks
-          auto ack = proto::ChDeltaAck::decode(r.reply);
-          if (!ack) return;
-          if (ack->promoted && ack->view > view_) {
-            // The standby promoted past us while we were cut off.  Exactly
-            // one replica may act as primary: go silent.
-            role_ = Role::kDemoted;
-            running_ = false;
-            for (net::TimerToken* t : {&failure_timer_, &replicate_timer_}) {
-              if (t->valid()) {
-                timers_.cancel(*t);
-                *t = net::TimerToken{};
-              }
+        delta_in_flight_ = false;
+        if (!r.ok) return;  // next tick retries from the same watermarks
+        auto ack = proto::ChDeltaAck::decode(r.reply);
+        if (!ack) return;
+        if (ack->promoted && ack->view > view_) {
+          // The standby promoted past us while we were cut off.  Exactly
+          // one replica may act as primary: go silent.
+          role_ = Role::kDemoted;
+          running_ = false;
+          for (net::TimerToken* t : {&failure_timer_, &replicate_timer_}) {
+            if (t->valid()) {
+              timers_.cancel(*t);
+              *t = net::TimerToken{};
             }
-            demoted = true;
-          } else {
-            io_acked_ = std::max(io_acked_,
-                                 static_cast<std::size_t>(ack->io_count));
-            stats_acked_ = std::max(
-                stats_acked_, static_cast<std::size_t>(ack->stats_count));
           }
-        }
-        if (demoted) {
           PHISH_LOG(kInfo) << "clearinghouse " << net::to_string(rpc_.id())
                            << ": superseded by promoted standby; demoting";
           rpc_.set_paused(true);
+        } else {
+          io_acked_ =
+              std::max(io_acked_, static_cast<std::size_t>(ack->io_count));
+          stats_acked_ = std::max(stats_acked_,
+                                  static_cast<std::size_t>(ack->stats_count));
         }
       },
       kReplicatePolicy);
 }
 
 void Clearinghouse::lease_tick() {
-  std::uint64_t now = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ || role_ != Role::kStandby) return;
-    now = timers_.now_ns();
-    if (now - last_delta_ns_ <= config_.lease_timeout_ns) {
-      lease_timer_ = timers_.schedule(config_.lease_check_period_ns,
-                                      [this] { lease_tick(); });
-      return;
-    }
-    lease_timer_ = net::TimerToken{};
+  if (!running_ || role_ != Role::kStandby) return;
+  const std::uint64_t now = timers_.now_ns();
+  if (now - last_delta_ns_ <= config_.lease_timeout_ns) {
+    lease_timer_ = timers_.schedule(config_.lease_check_period_ns,
+                                    [this] { lease_tick(); });
+    return;
   }
+  lease_timer_ = net::TimerToken{};
   PHISH_LOG(kInfo) << "clearinghouse " << net::to_string(rpc_.id())
                    << ": primary missed its lease; promoting";
   if (tracker_ != nullptr) tracker_->note_detect(now);
@@ -890,67 +739,52 @@ void Clearinghouse::lease_tick() {
 }
 
 void Clearinghouse::promote() {
-  std::vector<net::NodeId> targets;
-  std::vector<PendingRedelivery> redeliveries;
-  std::optional<Value> result;
-  std::uint64_t view = 0;
-  std::uint64_t now = 0;
-  std::function<void()> on_promoted;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (role_ != Role::kStandby) return;
-    role_ = Role::kPrimary;
-    ++view_;  // strictly above every view the old primary served
-    view = view_;
-    now = timers_.now_ns();
-    if (lease_timer_.valid()) {
-      timers_.cancel(lease_timer_);
-      lease_timer_ = net::TimerToken{};
+  if (role_ != Role::kStandby) return;
+  role_ = Role::kPrimary;
+  ++view_;  // strictly above every view the old primary served
+  const std::uint64_t now = timers_.now_ns();
+  if (lease_timer_.valid()) {
+    timers_.cancel(lease_timer_);
+    lease_timer_ = net::TimerToken{};
+  }
+  // Full heartbeat grace: measure deaths from the promotion instant, not
+  // from heartbeats the dying primary never shared with us.
+  for (net::NodeId p : participants_) last_heartbeat_[p] = now;
+  // Replicated ledger entries whose origin is already among the dead
+  // follow the same drop rule the old primary would have applied.  (An
+  // origin that crashed, rejoined, and departed again between two deltas
+  // can slip past this — the documented loss window; its victims' redo
+  // still covers the stolen portion.)
+  for (net::NodeId d : dead_) {
+    if (std::find(participants_.begin(), participants_.end(), d) ==
+        participants_.end()) {
+      drop_migrations_from(d);
     }
-    // Full heartbeat grace: measure deaths from the promotion instant, not
-    // from heartbeats the dying primary never shared with us.
-    for (net::NodeId p : participants_) last_heartbeat_[p] = now;
-    // Replicated ledger entries whose origin is already among the dead
-    // follow the same drop rule the old primary would have applied.  (An
-    // origin that crashed, rejoined, and departed again between two deltas
-    // can slip past this — the documented loss window; its victims' redo
-    // still covers the stolen portion.)
-    for (net::NodeId d : dead_) {
-      if (std::find(participants_.begin(), participants_.end(), d) ==
-          participants_.end()) {
-        drop_migrations_from_locked(d);
-      }
-    }
-    redeliveries = scan_migrations_locked();
-    targets = participants_;
-    result = result_;
-    if (config_.detect_failures) {
-      failure_timer_ = timers_.schedule(config_.failure_check_period_ns,
-                                        [this] { check_failures(); });
-    }
-    on_promoted = on_promoted_;
+  }
+  if (config_.detect_failures) {
+    failure_timer_ = timers_.schedule(config_.failure_check_period_ns,
+                                      [this] { check_failures(); });
   }
   install_primary_handlers();
   PHISH_LOG(kInfo) << "clearinghouse " << net::to_string(rpc_.id())
-                   << ": promoted to primary (view " << view << ", "
-                   << targets.size() << " participants)";
+                   << ": promoted to primary (view " << view_ << ", "
+                   << participants_.size() << " participants)";
   const Bytes announce =
-      proto::ControlMsg{proto::ControlMsg::kNewPrimary, rpc_.id(), view}
+      proto::ControlMsg{proto::ControlMsg::kNewPrimary, rpc_.id(), view_}
           .encode();
-  for (net::NodeId p : targets) {
+  for (net::NodeId p : participants_) {
     rpc_.call(p, proto::kRpcControl, announce, [](net::RpcResult) {},
               kControlPolicy);
   }
-  send_redeliveries(std::move(redeliveries));
+  redeliver_orphans();
   if (tracker_ != nullptr) tracker_->note_promote(now);
-  if (result) {
+  if (result_) {
     // The job had already finished: the old primary died mid-shutdown, so
     // finish the broadcast it started.
-    for (net::NodeId p : targets) {
+    for (net::NodeId p : participants_) {
       rpc_.send_oneway(p, proto::kShutdown, {});
     }
   }
-  if (on_promoted) on_promoted();
 }
 
 }  // namespace phish

@@ -18,15 +18,16 @@
 //
 // The class is transport-agnostic: it speaks through an RpcNode and a
 // TimerService, so the same code serves the simulated network and real UDP
-// sockets.  Thread-safe (the UDP runtime calls in from receiver and timer
-// threads); callbacks are invoked without internal locks held.
+// sockets.  Single-threaded: every call comes from the one thread of control
+// that delivers its messages and timers (the simulator, or its node's
+// NodeLoop on real sockets).
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -88,33 +89,41 @@ class Clearinghouse {
   void promote();
 
   net::NodeId id() const { return rpc_.id(); }
-  Role role() const;
-  std::uint64_t view() const;
+  Role role() const { return role_; }
+  std::uint64_t view() const { return view_; }
   /// True for a replica currently acting as the coordinator.
-  bool acting_primary() const { return role() == Role::kPrimary; }
+  bool acting_primary() const { return role_ == Role::kPrimary; }
 
   void set_recovery_tracker(RecoveryTracker* tracker) { tracker_ = tracker; }
-  /// Fires after this standby finishes promoting itself.
-  void set_on_promoted(std::function<void()> fn);
 
   /// Fires when the job's result arrives (after the shutdown broadcast).
-  void set_on_result(std::function<void(const Value&)> fn);
+  void set_on_result(std::function<void(const Value&)> fn) {
+    on_result_ = std::move(fn);
+  }
   /// Fires when a participant is declared dead, after the death broadcast.
-  void set_on_death(std::function<void(net::NodeId)> fn);
+  void set_on_death(std::function<void(net::NodeId)> fn) {
+    on_death_ = std::move(fn);
+  }
   /// Fires when membership changes (register/unregister/death).
-  void set_on_membership_change(std::function<void(std::size_t)> fn);
+  void set_on_membership_change(std::function<void(std::size_t)> fn) {
+    on_membership_change_ = std::move(fn);
+  }
 
   // ---- Observers. ----
-  proto::Membership membership() const;
-  std::optional<Value> result() const;
-  bool job_done() const { return result().has_value(); }
-  std::vector<proto::StatsMsg> stats_reports() const;
-  std::vector<proto::IoMsg> io_log() const;
-  std::vector<net::NodeId> declared_dead() const;
-  /// Join time (timer-clock ns) of each participant ever registered.
-  std::map<net::NodeId, std::uint64_t> join_times() const;
+  proto::Membership membership() const {
+    return proto::Membership{epoch_, participants_};
+  }
+  std::optional<Value> result() const { return result_; }
+  std::vector<proto::StatsMsg> stats_reports() const { return stats_reports_; }
+  std::vector<proto::IoMsg> io_log() const { return io_log_; }
+  std::vector<net::NodeId> declared_dead() const { return dead_; }
   /// Migration durability ledger entries currently retained (tests).
-  std::size_t migration_ledger_size() const;
+  std::size_t migration_ledger_size() const {
+    return migration_ledger_.size();
+  }
+  /// One line of coordinator state for stall diagnosis: role, view, epoch,
+  /// participants, and each migration-ledger entry (id, origin, holder).
+  std::string describe() const;
 
  private:
   /// One ledgered migration: the wire record (from/holder/cargo/steal-ledger
@@ -131,37 +140,28 @@ class Clearinghouse {
     std::uint32_t holder_inc = 0;
     bool redelivery_in_flight = false;
   };
-  /// A redelivery decided under the lock, sent outside it.
-  struct PendingRedelivery {
-    net::NodeId target;
-    std::uint64_t migration_id = 0;
-    std::size_t cargo_count = 0;
-    Bytes payload;
-  };
 
   void install_primary_handlers();
   Bytes handle_register(net::NodeId src, const Bytes& args);
-  Bytes handle_unregister(net::NodeId src);
+  Bytes handle_unregister(net::NodeId src, const Bytes& args);
   Bytes handle_update(const Bytes& args);
   Bytes handle_delta(net::NodeId src, const Bytes& args);
   Bytes handle_migration_ledger(net::NodeId src, const Bytes& args);
   /// Drop ledger entries originated by `dead` (its victims' standard
   /// death-redo re-executes everything it ever held, and redelivered
   /// waiting joins whose fills route through a crashed origin could never
-  /// complete).  Call at death declaration, holding mutex_.
-  void drop_migrations_from_locked(net::NodeId dead);
+  /// complete).  Call at death declaration.
+  void drop_migrations_from(net::NodeId dead);
   /// Find entries whose holder is gone (left membership, or re-registered
-  /// as a fresh incarnation) and stage redelivery of their cargo to the
-  /// lowest-id live participant.  Callers hold mutex_ and must pass the
-  /// result to send_redeliveries() after unlocking.
-  std::vector<PendingRedelivery> scan_migrations_locked();
-  void send_redeliveries(std::vector<PendingRedelivery> sends);
-  /// A retired ledger entry staged under the lock: notify the origin
-  /// (`first`) that migration `second` can never be rerouted again, so its
-  /// forwarding stub may drop the fill log it retained for a replay.
-  /// Best-effort (acked but loss only delays reclamation); send unlocked.
-  void send_retirements(
-      const std::vector<std::pair<net::NodeId, std::uint64_t>>& retires);
+  /// as a fresh incarnation) and redeliver their cargo to the lowest-id
+  /// live participant.
+  void redeliver_orphans();
+  void send_redelivery(net::NodeId target,
+                       const proto::MigrationLedgerMsg& rec);
+  /// Tell origin `origin` that ledger entry `mid` is retired: no reroute can
+  /// replay its fill log any more, so its forwarding stub may drop it.
+  /// Best-effort (acked, but a loss only delays reclamation).
+  void send_retirement(net::NodeId origin, std::uint64_t mid);
   void handle_oneway(net::Message&& message);
   void accept_result(net::NodeId src, Value value);
   void check_failures();
@@ -169,22 +169,18 @@ class Clearinghouse {
   void lease_tick();
   /// Reliable death notice to each target (acked kRpcControl; satellite of
   /// the old lossy kDead oneway).
-  void broadcast_death(net::NodeId dead, const std::vector<net::NodeId>& to,
-                       std::uint64_t view);
-  proto::Membership membership_locked() const;  // callers hold mutex_
+  void broadcast_death(net::NodeId dead, const std::vector<net::NodeId>& to);
   /// Record one membership change (join or leave) at the current epoch in
-  /// the bounded change log.  Call after bumping epoch_, holding mutex_.
-  void log_change_locked(net::NodeId node, bool joined);
+  /// the bounded change log.  Call after bumping epoch_.
+  void log_change(net::NodeId node, bool joined);
   /// Delta since `since_epoch` when the change log covers the window; full
-  /// snapshot (full = true) otherwise.  Callers hold mutex_.
-  proto::MembershipUpdate membership_update_locked(
-      std::uint64_t since_epoch) const;
+  /// snapshot (full = true) otherwise.
+  proto::MembershipUpdate membership_update(std::uint64_t since_epoch) const;
 
   net::RpcNode& rpc_;
   net::TimerService& timers_;
   ClearinghouseConfig config_;
 
-  mutable std::mutex mutex_;
   Role role_ = Role::kPrimary;
   std::uint64_t view_ = 1;  // bumps on every promotion, fences stale primaries
   net::NodeId peer_{};      // standby (when primary) / primary (when standby)
@@ -192,7 +188,6 @@ class Clearinghouse {
   std::vector<net::NodeId> participants_;
   std::map<net::NodeId, std::uint32_t> incarnations_;
   std::map<net::NodeId, std::uint64_t> last_heartbeat_;
-  std::map<net::NodeId, std::uint64_t> join_times_;
   std::vector<net::NodeId> dead_;
   /// One entry per epoch bump: who changed and in which direction.  Bounded
   /// by kMembershipLogLimit (clearinghouse.cpp); deltas that would reach
@@ -225,7 +220,6 @@ class Clearinghouse {
   std::function<void(const Value&)> on_result_;
   std::function<void(net::NodeId)> on_death_;
   std::function<void(std::size_t)> on_membership_change_;
-  std::function<void()> on_promoted_;
 };
 
 }  // namespace phish

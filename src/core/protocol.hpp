@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/closure.hpp"
@@ -442,6 +443,28 @@ struct RegisterMsg {
   }
 };
 
+/// Unregistration arguments: the sender's incarnation, so a previous
+/// incarnation's unregister that arrives late (a retransmit that outlived
+/// its crash and rejoin) cannot remove the live one.  An empty payload
+/// decodes as incarnation 1, as RegisterMsg's does.
+struct UnregisterMsg {
+  std::uint32_t incarnation = 1;
+
+  Bytes encode() const {
+    Writer w;
+    w.u32(incarnation);
+    return w.take();
+  }
+  static std::optional<UnregisterMsg> decode(const Bytes& b) {
+    UnregisterMsg m;
+    if (b.empty()) return m;
+    Reader r(b);
+    m.incarnation = r.u32();
+    if (!r.done() || m.incarnation == 0) return std::nullopt;
+    return m;
+  }
+};
+
 /// Reliable control notification (rides kRpcControl, so it retransmits until
 /// acknowledged).  One message type for the clearinghouse-to-worker control
 /// plane: death notices and new-primary announcements.
@@ -513,6 +536,9 @@ struct ChDeltaMsg {
   /// or completed-but-unretired migration), so a promoted standby can keep
   /// re-delivering cargo when holders die after the old primary did.
   std::vector<MigrationLedgerMsg> migrations;
+  /// Latest registered incarnation of every node, so a promoted standby
+  /// ignores stale registers and unregisters as the primary did.
+  std::vector<std::pair<net::NodeId, std::uint32_t>> incarnations;
 
   Bytes encode() const {
     Writer w;
@@ -541,6 +567,11 @@ struct ChDeltaMsg {
     for (const MigrationLedgerMsg& m : migrations) {
       const Bytes b = m.encode();
       w.blob(b.data(), b.size());
+    }
+    w.u32(static_cast<std::uint32_t>(incarnations.size()));
+    for (const auto& [node, inc] : incarnations) {
+      w.u32(node.value);
+      w.u32(inc);
     }
     return w.take();
   }
@@ -585,6 +616,12 @@ struct ChDeltaMsg {
       auto mig = MigrationLedgerMsg::decode(r.blob());
       if (!mig) return std::nullopt;
       m.migrations.push_back(std::move(*mig));
+    }
+    const std::uint32_t ni = r.u32();
+    if (!r.ok() || ni > (1u << 20)) return std::nullopt;
+    for (std::uint32_t i = 0; i < ni; ++i) {
+      const net::NodeId node{r.u32()};
+      m.incarnations.emplace_back(node, r.u32());
     }
     if (!r.done()) return std::nullopt;
     return m;

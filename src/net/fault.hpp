@@ -170,8 +170,7 @@ class FaultInjector {
 /// permits).  kDelay degrades to deliver: a real-time channel has no clock
 /// to delay against; use SimNetwork's native hook for timed faults.
 ///
-/// Thread-safe: the UDP runtime sends from worker, receiver, and timer
-/// threads.
+/// Thread-safe: any thread may send, not only the node's loop.
 class FaultyChannel final : public Channel {
  public:
   FaultyChannel(Channel& inner, const FaultPlan& plan)

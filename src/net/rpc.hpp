@@ -17,8 +17,9 @@
 //               application-level reliability (argument sends are made
 //               idempotent by closure slot fill-flags instead).
 //
-// Thread-safety: safe for concurrent use (the UDP runtime calls in from
-// receiver and timer threads); no lock is held while user callbacks run.
+// Thread-safety: safe for concurrent use (a caller's thread, the channel's
+// loop and a timer thread may all call in); no lock is held while user
+// callbacks run.
 #pragma once
 
 #include <deque>

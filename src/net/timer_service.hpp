@@ -1,14 +1,10 @@
 // Timer abstraction so the RPC layer (retransmission timeouts) and the
 // heartbeat/failure detectors run identically over simulated time and real
-// time.
+// time (NodeLoop, net/node_loop.hpp).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <thread>
 
 #include "sim/simulator.hpp"
 
@@ -53,40 +49,6 @@ class SimTimerService final : public TimerService {
 
  private:
   sim::Simulator& sim_;
-};
-
-/// Timer service over a dedicated real-time thread (for the UDP runtime).
-/// Callbacks run on the timer thread; they must not block for long.
-class ThreadTimerService final : public TimerService {
- public:
-  ThreadTimerService();
-  ~ThreadTimerService() override;
-
-  ThreadTimerService(const ThreadTimerService&) = delete;
-  ThreadTimerService& operator=(const ThreadTimerService&) = delete;
-
-  TimerToken schedule(std::uint64_t delay_ns,
-                      std::function<void()> fn) override;
-  void cancel(TimerToken token) override;
-  std::uint64_t now_ns() const override;
-
- private:
-  void loop();
-
-  struct Entry {
-    std::uint64_t id;
-    std::function<void()> fn;
-  };
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  // Key: (deadline_ns, id) for stable ordering.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::function<void()>>
-      entries_;
-  std::map<std::uint64_t, std::uint64_t> deadline_of_;  // id -> deadline
-  std::uint64_t next_id_ = 1;
-  bool stopping_ = false;
-  std::thread thread_;
 };
 
 }  // namespace phish::net

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,7 +10,6 @@
 #include <stdexcept>
 
 #include "util/log.hpp"
-#include "util/rng.hpp"
 
 namespace phish::net {
 namespace {
@@ -41,8 +39,8 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 UdpNetwork::UdpNetwork(UdpParams params) : params_(params) {}
 
 UdpNetwork::~UdpNetwork() {
-  // Channels first: their receiver threads read the port table (a reply's
-  // send) until each channel's destructor has joined its thread.
+  // Channels first: their loops read the port table (a reply's send) until
+  // each channel's destructor has stopped its loop.
   channels_.clear();
 }
 
@@ -69,21 +67,14 @@ UdpChannel& UdpNetwork::channel(NodeId id) {
   return *slot;
 }
 
-UdpChannel::UdpChannel(UdpNetwork& net, NodeId id)
-    : net_(net), id_(id), drop_rng_state_(mix64(net.params().seed ^ id.value)) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) {
+int UdpChannel::open_socket(UdpNetwork& net, NodeId id) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) {
     throw std::runtime_error("udp: socket() failed: " +
                              std::string(std::strerror(errno)));
   }
   int reuse = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof reuse);
-  // Receive poll timeout: bounds how long shutdown waits on the receiver.
-  constexpr int kRecvTimeoutMs = 50;
-  timeval tv{};
-  tv.tv_sec = kRecvTimeoutMs / 1000;
-  tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof reuse);
 
   // base_port 0: bind port 0 and let the kernel allocate — the only
   // collision-free option when many test processes share the machine.
@@ -92,45 +83,44 @@ UdpChannel::UdpChannel(UdpNetwork& net, NodeId id)
           ? 0
           : static_cast<std::uint16_t>(net.params().base_port + id.value);
   const sockaddr_in addr = loopback_addr(want);
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
     const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     throw std::runtime_error("udp: bind(" + std::to_string(want) +
                              ") failed: " + std::string(std::strerror(err)));
   }
   if (want == 0) {
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
-    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
       const int err = errno;
-      ::close(fd_);
-      fd_ = -1;
+      ::close(fd);
       throw std::runtime_error("udp: getsockname failed: " +
                                std::string(std::strerror(err)));
     }
     net.register_port(id, ntohs(bound.sin_port));
   }
-  receiver_thread_ = std::thread([this] { receive_loop(); });
+  return fd;
 }
 
+UdpChannel::UdpChannel(UdpNetwork& net, NodeId id)
+    : net_(net),
+      id_(id),
+      fd_(open_socket(net, id)),
+      buf_(kMaxPayload + 64),
+      loop_(fd_, [this] { receive(); }) {}
+
 UdpChannel::~UdpChannel() {
-  stopping_.store(true, std::memory_order_release);
-  if (receiver_thread_.joinable()) receiver_thread_.join();
-  if (fd_ >= 0) ::close(fd_);
+  loop_.stop();  // before the socket it polls is closed
+  ::close(fd_);
 }
 
 void UdpChannel::set_receiver(Receiver receiver) {
-  // Wait out a delivery in progress, unless this is that delivery: once this
-  // returns, the old receiver no longer runs and its owner may be destroyed.
-  std::unique_lock<std::mutex> dispatch(dispatch_mutex_, std::defer_lock);
-  if (std::this_thread::get_id() != receiver_thread_.get_id()) dispatch.lock();
-  std::lock_guard<std::mutex> lock(mutex_);
-  receiver_ = std::move(receiver);
+  loop_.submit([this, &receiver] { receiver_ = std::move(receiver); }).get();
 }
 
 const ChannelStats& UdpChannel::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_snapshot_ = stats_;
   return stats_snapshot_;
 }
@@ -141,18 +131,9 @@ void UdpChannel::send(NodeId dst, std::uint16_t type, Bytes payload) {
                             std::to_string(payload.size()) + " bytes)");
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.messages_sent;
     stats_.bytes_sent += payload.size();
-    if (net_.params().drop_probability > 0.0) {
-      drop_rng_state_ = mix64(drop_rng_state_);
-      const double u =
-          static_cast<double>(drop_rng_state_ >> 11) * 0x1.0p-53;
-      if (u < net_.params().drop_probability) {
-        ++stats_.messages_dropped;
-        return;
-      }
-    }
   }
   Writer w;
   w.u32(kMagic);
@@ -184,18 +165,19 @@ void UdpChannel::send(NodeId dst, std::uint16_t type, Bytes payload) {
   }
 }
 
-void UdpChannel::receive_loop() {
-  std::vector<std::uint8_t> buf(kMaxPayload + 64);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+void UdpChannel::receive() {
+  // Bounded, so a flood cannot starve the loop's timers and posted work.
+  constexpr int kMaxBurst = 64;
+  for (int i = 0; i < kMaxBurst; ++i) {
+    const ssize_t n = ::recv(fd_, buf_.data(), buf_.size(), MSG_DONTWAIT);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      if (stopping_.load(std::memory_order_acquire)) break;
-      PHISH_LOG(kWarn) << "udp: recv failed on " << to_string(id_) << ": "
-                       << std::strerror(errno);
-      continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        PHISH_LOG(kWarn) << "udp: recv failed on " << to_string(id_) << ": "
+                         << std::strerror(errno);
+      }
+      return;
     }
-    Reader r(buf.data(), static_cast<std::size_t>(n));
+    Reader r(buf_.data(), static_cast<std::size_t>(n));
     if (r.u32() != kMagic || r.u8() != kVersion) continue;
     const NodeId src{r.u32()};
     const NodeId dst{r.u32()};
@@ -207,14 +189,13 @@ void UdpChannel::receive_loop() {
       PHISH_LOG(kWarn) << "udp: checksum mismatch on " << to_string(id_);
       continue;
     }
-    std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
-    Receiver receiver;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.messages_received;
       stats_.bytes_received += payload.size();
-      receiver = receiver_;
     }
+    // A copy: the receiver may replace itself.
+    const Receiver receiver = receiver_;
     if (receiver) receiver(Message{src, dst, type, std::move(payload)});
   }
 }

@@ -2,23 +2,23 @@
 //
 // This is the layer the paper's Phish actually ran on: split-phase
 // communication over UDP datagrams.  Each node binds its own socket on
-// 127.0.0.1 at (base_port + node id); a receiver thread per node parses and
-// dispatches incoming datagrams.  Datagrams carry a small header with a magic
-// number, src/dst ids, a message type, and an FNV-1a checksum so torn or
-// foreign packets are discarded instead of crashing a worker.
+// 127.0.0.1 at (base_port + node id) and owns the node's event loop
+// (NodeLoop), whose thread reads, parses and dispatches incoming datagrams.
+// Datagrams carry a small header with a magic number, src/dst ids, a message
+// type, and an FNV-1a checksum so torn or foreign packets are discarded
+// instead of crashing a worker.
 //
 // The reproduction runs all "workstations" on one box (see DESIGN.md §3.3);
 // the code does not care — addresses are plain sockaddrs.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/channel.hpp"
+#include "net/node_loop.hpp"
 
 namespace phish::net {
 
@@ -29,9 +29,6 @@ struct UdpParams {
   /// Nonzero = fixed layout: node id binds base_port + id (useful when an
   /// external process must know the ports up front).
   std::uint16_t base_port = 29070;
-  /// Artificial outbound loss for testing retransmission over real sockets.
-  double drop_probability = 0.0;
-  std::uint64_t seed = 0x5eed'0000'0002ULL;
 };
 
 class UdpChannel;
@@ -46,7 +43,7 @@ class UdpNetwork {
   UdpNetwork& operator=(const UdpNetwork&) = delete;
 
   /// Create and bind the channel for `id`.  Throws std::runtime_error if the
-  /// port cannot be bound.  The receiver thread starts immediately; install a
+  /// port cannot be bound.  The node's loop starts immediately; install a
   /// receiver with set_receiver() before peers start sending, or early
   /// messages are dropped (as real UDP would).
   UdpChannel& channel(NodeId id);
@@ -75,8 +72,14 @@ class UdpChannel final : public Channel {
 
   NodeId id() const override { return id_; }
   void send(NodeId dst, std::uint16_t type, Bytes payload) override;
+  /// Runs on the loop's thread, so once it returns no delivery to the old
+  /// receiver is running.
   void set_receiver(Receiver receiver) override;
   const ChannelStats& stats() const override;
+
+  /// The node's event loop: every delivery runs on its thread, and so does
+  /// whatever the node does.
+  NodeLoop& loop() noexcept { return loop_; }
 
   /// Maximum payload a single datagram may carry.
   static constexpr std::size_t kMaxPayload = 60 * 1024;
@@ -84,22 +87,21 @@ class UdpChannel final : public Channel {
  private:
   friend class UdpNetwork;
   UdpChannel(UdpNetwork& net, NodeId id);
+  /// A socket bound to `id`'s port (registered with `net` when ephemeral).
+  static int open_socket(UdpNetwork& net, NodeId id);
 
-  void receive_loop();
+  /// Loop thread: read and deliver the datagrams waiting on the socket.
+  void receive();
 
   UdpNetwork& net_;
   NodeId id_;
-  int fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::thread receiver_thread_;
-
-  /// Held across each delivery, so set_receiver can wait one out.
-  std::mutex dispatch_mutex_;
-  mutable std::mutex mutex_;  // guards receiver_, stats_, rng state
-  Receiver receiver_;
+  int fd_;
+  Receiver receiver_;            // loop thread only
+  std::vector<std::uint8_t> buf_;  // loop thread only
+  mutable std::mutex stats_mutex_;
   ChannelStats stats_;
   mutable ChannelStats stats_snapshot_;
-  std::uint64_t drop_rng_state_;
+  NodeLoop loop_;  // last: its thread uses everything above
 };
 
 }  // namespace phish::net

@@ -661,8 +661,9 @@ void WorkerNode::send_stats_and_unregister(bool unregister) {
   stats.end_ns = end_time_;
   client_.send_oneway(proto::kStatsReport, stats.encode());
   if (!unregister) return;  // depart-with-lost-cargo: be "dead", not gone
-  client_.call(proto::kRpcUnregister, {}, [](net::RpcResult) {},
-               params_.rpc_policy);
+  client_.call(proto::kRpcUnregister,
+               proto::UnregisterMsg{incarnation_}.encode(),
+               [](net::RpcResult) {}, params_.rpc_policy);
 }
 
 void WorkerNode::refresh_membership() {

@@ -22,7 +22,7 @@
 // The node never blocks and takes no lock.  Whatever runs it — a Driver —
 // calls every method from one thread of control and supplies the scheduling
 // step and the cost model: SimWorker charges virtual time on the simulator,
-// UdpWorker runs it on one real thread per worker.
+// UdpWorker runs it on its socket's event loop (NodeLoop).
 #pragma once
 
 #include <cstdint>

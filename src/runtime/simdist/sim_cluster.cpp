@@ -280,9 +280,14 @@ SimJobResult SimCluster::drive() {
   for (;;) {
     sim_.run_until(sim_.now() + kSlice);
     if (sim_.now() > config_.max_sim_time) {
-      throw std::runtime_error(
+      // Say where the job is stuck: every worker's protocol state and the
+      // acting coordinator's view and migration ledger.
+      std::string stall =
           "SimCluster: job did not complete within max_sim_time (simulated " +
-          std::to_string(sim::to_seconds(sim_.now())) + " s)");
+          std::to_string(sim::to_seconds(sim_.now())) + " s)";
+      for (const auto& w : workers_) stall += "\n  " + w->describe();
+      stall += "\n  " + acting_clearinghouse().describe();
+      throw std::runtime_error(stall);
     }
     if (!job_result().has_value()) continue;
     bool all_done = true;

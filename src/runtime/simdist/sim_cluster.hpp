@@ -102,7 +102,9 @@ class SimCluster {
   void apply_fault_plan(const net::FaultPlan& plan);
 
   /// Run root(args...) to completion and collect the results.
-  /// Throws std::runtime_error if the job does not finish in max_sim_time.
+  /// Throws std::runtime_error if the job does not finish in max_sim_time;
+  /// its message lists every worker's protocol state (WorkerNode::describe)
+  /// and the acting Clearinghouse's (Clearinghouse::describe).
   SimJobResult run(TaskId root, std::vector<Value> args);
 
   /// Resume a job from a checkpoint taken on a cluster with the same

@@ -2,18 +2,17 @@
 //
 // Every worker has its own UDP socket and runs the same WorkerNode — the
 // worker protocol — as the simulator; the Clearinghouse is an RPC server on
-// its own socket.  Only the driver differs: real threads and a real clock
-// instead of simulated time, so the protocol the benches measure in
-// simulation is the protocol this code ships on real sockets.
+// its own socket.  Each node runs on its socket's event loop (NodeLoop): one
+// thread per node, as the paper's single-threaded Phish process.  Only the
+// driver differs from the simulator: a real clock instead of simulated time,
+// so the protocol the benches measure in simulation is the protocol this
+// code ships on real sockets.
 #pragma once
 
-#include <chrono>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -45,9 +44,8 @@ struct UdpJobConfig {
   /// The plan's node events are ignored; script those in node_events.
   std::optional<net::FaultPlan> fault_plan;
   /// Optional event tracer (wall-clock domain).  Worker i writes to
-  /// tracer->shard(i + 1) from its own thread only.  The Clearinghouse is
-  /// not traced here: it serves from two threads, and a shard takes one
-  /// producer.
+  /// tracer->shard(i + 1) and the primary Clearinghouse's RpcNode to
+  /// shard 0, each from its node's loop only.
   obs::Tracer* tracer = nullptr;
   /// Warm-standby Clearinghouse replica on node workers+1 (port
   /// base_port + workers + 1): receives state deltas from the primary and
@@ -74,19 +72,17 @@ struct UdpJobResult {
 };
 
 /// One worker process-equivalent: a UDP socket and a WorkerNode — the same
-/// protocol the simulator runs — driven by one thread.  Only that thread
-/// touches the node.  The socket's receiver thread, the timer thread and
-/// every public call below post to the thread's mailbox, which is the
-/// driver's only lock; the thread drains it between bounded task batches.
-/// When no thread runs the node (before start(), after join()), a public
-/// call runs on the caller's thread instead.
+/// protocol the simulator runs — driven by the socket's loop.  Only the
+/// loop's thread touches the node: datagrams, timers and task batches all
+/// run there, and every public call below is posted to it.  A batch polls
+/// the socket between tasks and ends when anything waits.  Once the loop
+/// has stopped (after join()), a public call runs on the caller's thread.
 class UdpWorker final : private WorkerNode::Driver {
  public:
   /// `clearinghouse` is the replica ring (primary first, then any warm
   /// standby); all coordinator traffic fails over across it.
-  UdpWorker(net::UdpNetwork& network, net::TimerService& timers,
-            const TaskRegistry& registry, net::NodeId me,
-            std::vector<net::NodeId> clearinghouse,
+  UdpWorker(net::UdpNetwork& network, const TaskRegistry& registry,
+            net::NodeId me, std::vector<net::NodeId> clearinghouse,
             const UdpJobConfig& config, std::uint64_t seed);
   ~UdpWorker();
 
@@ -104,38 +100,33 @@ class UdpWorker final : private WorkerNode::Driver {
     node_.set_recovery_tracker(tracker);
   }
 
-  /// Launch the worker thread; the node registers with the Clearinghouse.
-  void start();
+  /// The node registers with the Clearinghouse.
+  void start() { loop_.submit([this] { node_.start(); }); }
 
   /// Wind down as the shutdown broadcast does (report stats, unregister,
-  /// unless crashed or departed), then end the thread.
-  void request_stop();
+  /// unless crashed or departed).
+  void request_stop() { loop_.submit([this] { node_.finish_job(); }); }
 
   /// Simulate a machine crash: drop all traffic both ways at the RPC layer,
   /// with no unregister and no stats report — the Clearinghouse must find
   /// out the hard way (missed heartbeats).
-  void kill() {
-    post_or_run([this] { node_.crash(); });
-  }
+  void kill() { loop_.submit([this] { node_.crash(); }); }
 
   /// Graceful owner reclaim: drain the closures and steal ledger through
   /// the acked migration handshake and depart, leaving a forwarding stub.
-  void evict() {
-    post_or_run([this] { node_.reclaim_by_owner(); });
-  }
+  void evict() { loop_.submit([this] { node_.reclaim_by_owner(); }); }
 
   /// Bring a killed or evicted worker back as a fresh incarnation: the core
   /// is reset (survivors redo the dead life's work) and the node
   /// re-registers into the running job.  The forwarding stub and its fill
   /// log survive into the new life.
-  void rejoin() {
-    post_or_run([this] { node_.rejoin(); });
-  }
+  void rejoin() { loop_.submit([this] { node_.rejoin(); }); }
 
-  /// Block until the worker thread exits (after request_stop()).
-  void join();
+  /// Stop the node's loop once it has run everything posted so far (after
+  /// request_stop()).  Nothing of the node runs on it again.
+  void join() { loop_.stop(); }
 
-  net::NodeId id() const { return me_; }
+  net::NodeLoop& loop() { return loop_; }
   std::uint32_t incarnation() const;
   WorkerStats stats_snapshot() const;
   /// The node's protocol state, one line (stall diagnosis).
@@ -143,40 +134,55 @@ class UdpWorker final : private WorkerNode::Driver {
   const net::ChannelStats& channel_stats() const { return udp_.stats(); }
 
  private:
-  class Mailbox;
-  class PostingChannel;
-  class PostingTimers;
-
   // WorkerNode::Driver.
   void schedule_step(std::uint64_t delay) override;
-  void cancel_step() override { step_due_ = false; }
+  void cancel_step() override;
   void isolate(bool cut) override { node_.rpc().set_paused(cut); }
 
-  void thread_main();
   /// Run a batch of ready tasks, or go stealing when there are none.
   void step();
-  /// Run `fn` on the worker thread, or here when no thread runs the node.
-  void post_or_run(std::function<void()> fn) const;
-  /// Run `fn` on the worker thread (or here, if none runs the node) and
-  /// return its result; nullopt if the thread does not answer in time.
-  template <typename F>
-  auto on_thread(F fn, std::chrono::milliseconds patience =
-                           std::chrono::hours(24)) const
-      -> std::optional<decltype(fn())>;
 
   net::NodeId me_;
   net::UdpChannel& udp_;
-  const std::shared_ptr<Mailbox> mailbox_;
-  // Worker-thread state.
-  bool step_due_ = false;
+  net::NodeLoop& loop_;
+  net::TimerToken step_timer_{};
   std::uint64_t step_at_ = 0;
-  bool stop_ = false;
   /// Present when config.fault_plan is set; the node then speaks through it.
   std::unique_ptr<net::FaultyChannel> faulty_;
-  std::unique_ptr<PostingChannel> channel_;
-  std::unique_ptr<PostingTimers> timers_;
   WorkerNode node_;
-  std::thread thread_;
+};
+
+/// One Clearinghouse replica on its socket's loop.  Only the loop's thread
+/// touches the Clearinghouse; other threads reach it through run().  The
+/// destructor stops the loop first, so nothing of the replica runs while it
+/// is destroyed.
+class UdpClearinghouse {
+ public:
+  UdpClearinghouse(net::UdpNetwork& network, net::NodeId id,
+                   const ClearinghouseConfig& config,
+                   std::uint64_t jitter_seed);
+  ~UdpClearinghouse() { loop_.stop(); }
+
+  UdpClearinghouse(const UdpClearinghouse&) = delete;
+  UdpClearinghouse& operator=(const UdpClearinghouse&) = delete;
+
+  /// Run `fn(clearinghouse)` on the loop's thread and return its result.
+  template <typename F>
+  auto run(F fn) {
+    return loop_.submit([this, &fn] { return fn(clearinghouse_); }).get();
+  }
+
+  net::NodeId id() const { return rpc_.id(); }
+  net::NodeLoop& loop() { return loop_; }
+  /// Trace the replica's RPC traffic (before any runs).
+  void set_trace(obs::TraceShard* shard, const obs::Clock* clock) {
+    rpc_.set_trace(shard, clock);
+  }
+
+ private:
+  net::NodeLoop& loop_;
+  net::RpcNode rpc_;
+  Clearinghouse clearinghouse_;
 };
 
 /// Harness: stand up a Clearinghouse and N workers on loopback UDP, run one
@@ -186,7 +192,8 @@ class UdpJob {
   UdpJob(const TaskRegistry& registry, UdpJobConfig config);
 
   /// Throws std::runtime_error on watchdog timeout; its message lists every
-  /// worker's protocol state (UdpWorker::describe).
+  /// worker's protocol state (UdpWorker::describe) and the primary
+  /// Clearinghouse's (Clearinghouse::describe).
   UdpJobResult run(TaskId root, std::vector<Value> args);
   UdpJobResult run(const std::string& root, std::vector<Value> args);
 

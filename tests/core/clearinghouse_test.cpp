@@ -380,6 +380,63 @@ TEST_F(ClearinghouseTest, StaleIncarnationRegisterDoesNotResurrect) {
   EXPECT_TRUE(w2.dead_notices.empty());
 }
 
+TEST_F(ClearinghouseTest, StaleIncarnationUnregisterDoesNotRemove) {
+  // Incarnation 1's unregister, retransmitted across its crash and the
+  // rejoin of incarnation 2, must not remove the live incarnation: nothing
+  // would then declare it dead when it crashes holding stolen work.
+  Clearinghouse ch(ch_rpc_, timers_, no_failure_detection());
+  ch.start();
+  FakeWorker w1(network_, timers_, net::NodeId{1});
+  w1.register_with(kCh, nullptr, 1);
+  sim_.run();
+  w1.register_with(kCh, nullptr, 2);
+  sim_.run();
+  const std::uint64_t epoch = ch.membership().epoch;
+
+  w1.rpc.call(kCh, proto::kRpcUnregister, proto::UnregisterMsg{1}.encode(),
+              [](net::RpcResult) {});
+  sim_.run();
+  EXPECT_EQ(ch.membership().participants,
+            (std::vector<net::NodeId>{net::NodeId{1}}));
+  EXPECT_EQ(ch.membership().epoch, epoch);
+
+  // The live incarnation's own unregister still removes it.
+  w1.rpc.call(kCh, proto::kRpcUnregister, proto::UnregisterMsg{2}.encode(),
+              [](net::RpcResult) {});
+  sim_.run();
+  EXPECT_TRUE(ch.membership().participants.empty());
+}
+
+TEST_F(ClearinghouseTest, PromotedStandbyIgnoresStaleUnregister) {
+  // The standby learns the incarnation map from the primary's deltas, so
+  // after a promotion it applies the same check.
+  ClearinghouseConfig cfg;
+  cfg.detect_failures = false;
+  cfg.replicate_period_ns = 100 * sim::kMillisecond;
+  Clearinghouse primary(ch_rpc_, timers_, cfg);
+  net::RpcNode backup_rpc(network_.channel(net::NodeId{9}), timers_);
+  Clearinghouse backup(backup_rpc, timers_, cfg);
+  primary.start();
+  backup.start_standby(kCh);
+  primary.set_standby(net::NodeId{9});
+
+  FakeWorker w1(network_, timers_, net::NodeId{1});
+  w1.register_with(kCh, nullptr, 1);
+  sim_.run_until(100 * sim::kMillisecond);
+  w1.register_with(kCh, nullptr, 2);
+  sim_.run_until(sim::kSecond);
+  primary.halt();
+  backup.promote();
+  ASSERT_TRUE(backup.acting_primary());
+
+  w1.rpc.call(net::NodeId{9}, proto::kRpcUnregister,
+              proto::UnregisterMsg{1}.encode(), [](net::RpcResult) {});
+  sim_.run_until(2 * sim::kSecond);
+  EXPECT_EQ(backup.membership().participants,
+            (std::vector<net::NodeId>{net::NodeId{1}}));
+  backup.stop();
+}
+
 /// A minimal migratable closure: id-addressable, no pending arguments.
 Closure make_cargo(std::uint32_t origin, std::uint64_t seq) {
   Closure c;

@@ -14,6 +14,7 @@
 #include "apps/apps.hpp"
 #include "runtime/simdist/sim_cluster.hpp"
 #include "testing/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace phish::testing {
 namespace {
@@ -228,6 +229,39 @@ TEST(ChurnSimdist, PrimaryCrashMidStormFailsOverAndStaysExact) {
   EXPECT_GT(cluster.recovery().snapshot().promotions, 0u)
       << "vacuous: the standby never promoted\n"
       << replay_line(seed, plan);
+}
+
+TEST(ChurnSimdist, StaleUnregisterCannotHideARejoinedIncarnation) {
+  // churn_sweep's simdist parity cell with reclaim and primary churn (2.0
+  // churn/s, reclaim 0.6) at sweep seeds 2002 and 7.  In both, a reclaimed
+  // worker's unregister outlived its rejoin and removed the new
+  // incarnation from the membership; when that incarnation crashed holding
+  // a stolen task, nothing declared it dead and the job hung.  Seed 7 needs
+  // the promoted standby to know the incarnations too.
+  for (const std::uint64_t sweep_seed : {2002ull, 7ull}) {
+    ChurnProfile profile = test_profile(6);
+    profile.correlation = 0.2;
+    profile.reclaim_fraction = 0.6;
+    profile.primary_churn = true;
+    // churn_sweep's runtime_cell_seed for this cell.
+    const std::uint64_t plan_seed =
+        mix64(sweep_seed ^ 0x51d1'57eeULL ^ 2000 ^ 58 ^ 0x9e1aULL);
+    const net::FaultPlan plan = make_churn_plan(plan_seed, profile);
+
+    TaskRegistry reg;
+    const TaskId root = apps::register_pfold(reg, /*sequential_monomers=*/5);
+    rt::SimJobConfig cfg = churn_job_config(sweep_seed, 6);
+    cfg.enable_backup = true;
+    // The job takes ~70 simulated s; a hang fails fast, with its dump.
+    cfg.max_sim_time = 120 * sim::kSecond;
+    rt::SimCluster cluster(reg, cfg);
+    cluster.apply_fault_plan(plan);
+    const auto result = cluster.run(root, {Value(std::int64_t{13})});
+    EXPECT_EQ(apps::decode_histogram(result.value.as_blob()),
+              apps::pfold_serial(13))
+        << "sweep seed " << sweep_seed << "\n"
+        << replay_line(plan_seed, plan);
+  }
 }
 
 TEST(ChurnSimdist, ReplayIsBitForBitDeterministic) {

@@ -3,11 +3,10 @@
 //
 // These tests measure real-time failure detection (heartbeat and lease
 // timeouts against a wall clock), so they run RUN_SERIAL in ctest: a loaded
-// machine starves the heartbeat threads and turns timing into noise.
+// machine starves the nodes' loops and turns timing into noise.
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <future>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -106,49 +105,43 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
   net::UdpParams net_params;
   net_params.base_port = 0;  // ephemeral: no collisions under ctest -j
   net::UdpNetwork network(net_params);
-  net::ThreadTimerService timers;
 
   const net::NodeId ch_node{0};
-  net::RpcNode ch_rpc(network.channel(ch_node), timers);
   ClearinghouseConfig ch_cfg;
   ch_cfg.detect_failures = false;
-  Clearinghouse ch(ch_rpc, timers, ch_cfg);
-  ch.start();
+  rt::UdpClearinghouse ch(network, ch_node, ch_cfg, /*jitter_seed=*/0);
+  ch.run([](Clearinghouse& c) { c.start(); });
 
   rt::UdpJobConfig cfg;
   cfg.workers = 1;
   cfg.rpc_policy = net::RetryPolicy{50'000'000, 3, 1.5};  // bounds each call
-  rt::UdpWorker worker(network, timers, reg, net::NodeId{1}, {ch_node}, cfg,
+  rt::UdpWorker worker(network, reg, net::NodeId{1}, {ch_node}, cfg,
                        /*seed=*/0x5eed'1234ULL);
   worker.start();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
-  while (ch.membership().participants.empty()) {
+  while (ch.run([](Clearinghouse& c) {
+    return c.membership().participants.empty();
+  })) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "worker never registered";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  net::RpcNode driver(network.channel(net::NodeId{2}), timers);
+  // The test plays origin from a node of its own.
+  net::UdpChannel& origin = network.channel(net::NodeId{2});
+  net::RpcNode driver(origin, origin.loop());
   const auto call_migrate = [&](const proto::MigrateMsg& m) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false, accepted = false;
+    std::promise<bool> accepted;
+    std::future<bool> reply = accepted.get_future();
     driver.call(
         net::NodeId{1}, proto::kRpcMigrate, m.encode(),
         [&](net::RpcResult r) {
-          if (r.ok) {
-            Reader rd(r.reply);
-            accepted = rd.boolean() && rd.ok();
-          }
-          std::lock_guard<std::mutex> lock(mu);
-          done = true;
-          cv.notify_all();
+          Reader rd(r.reply);
+          accepted.set_value(r.ok && rd.boolean() && rd.ok());
         },
         cfg.rpc_policy);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return accepted;
+    return reply.get();
   };
 
   // A waiting closure (one empty slot): installable and id-addressable but
@@ -170,7 +163,7 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
   ASSERT_TRUE(call_migrate(first)) << "live worker must accept the handoff";
 
   worker.kill();
-  worker.rejoin();  // both run on the worker's thread, in order
+  worker.rejoin();  // both run on the worker's loop, in order
   ASSERT_EQ(worker.incarnation(), 2u);
 
   proto::MigrateMsg redelivered;
@@ -191,7 +184,6 @@ TEST(UdpFailover, RejoinedWorkerReinstallsRedeliveredMigration) {
 
   worker.request_stop();
   worker.join();
-  ch.stop();
 }
 
 TEST(UdpFailover, KilledWorkerRejoinsMidJob) {

@@ -26,7 +26,7 @@ std::int64_t fib_iterative(int n) {
 }
 
 TEST(UdpMulticore, FourWorkersFinishExactAndStealEveryRun) {
-  constexpr int kRuns = 10;
+  constexpr int kRuns = 30;
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/22);
   for (int run = 0; run < kRuns; ++run) {

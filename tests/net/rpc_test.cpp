@@ -11,6 +11,7 @@
 #include <chrono>
 #include <thread>
 
+#include "net/fault.hpp"
 #include "net/loop_net.hpp"
 #include "net/sim_net.hpp"
 #include "net/udp_net.hpp"
@@ -460,17 +461,27 @@ TEST(RpcUdp, CallOverRealSockets) {
 TEST(RpcUdp, RetransmissionOverLossySockets) {
   UdpParams p;
   p.base_port = 0;  // ephemeral: kernel-assigned, collision-free
-  p.drop_probability = 0.5;
-  p.seed = 4242;
   UdpNetwork net(p);
   ThreadTimerService timers;
-  RpcNode server(net.channel(NodeId{1}), timers);
-  RpcNode client(net.channel(NodeId{0}), timers);
+  // Half of every datagram either way is lost before it reaches a socket.
+  FaultPlan plan;
+  plan.seed = 4242;
+  LinkRule lossy;
+  lossy.drop = 0.5;
+  plan.links.push_back(lossy);
+  FaultyChannel server_channel(net.channel(NodeId{1}), plan);
+  FaultyChannel client_channel(net.channel(NodeId{0}), plan);
+  RpcNode server(server_channel, timers);
+  RpcNode client(client_channel, timers);
   server.serve(1, [](NodeId, const Bytes& args) { return args; });
 
+  // Each attempt succeeds with probability 1/4 (request and reply must both
+  // get through).  No backoff, so the retry budget fits the wait below: 40
+  // attempts take at most 1.2 s and all fail with probability 0.75^40.
   RetryPolicy policy;
   policy.timeout_ns = 30'000'000;  // 30 ms
-  policy.max_attempts = 12;
+  policy.backoff = 1.0;
+  policy.max_attempts = 40;
   std::atomic<int> ok_count{0};
   std::atomic<int> done_count{0};
   constexpr int kCalls = 10;

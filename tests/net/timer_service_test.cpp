@@ -5,6 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include "net/node_loop.hpp"
 
 namespace phish::net {
 namespace {
@@ -110,6 +114,81 @@ TEST(ThreadTimerService, DestructionWithPendingTimersIsClean) {
     timers.schedule(10'000'000'000ULL, [&] { fired = true; });  // 10 s
   }  // destructor must not hang or fire
   EXPECT_FALSE(fired.load());
+}
+
+TEST(NodeLoop, PostsRunInOrderOnTheLoopThread) {
+  NodeLoop loop;
+  std::vector<int> order;  // touched on the loop thread only
+  for (int i = 0; i < 3; ++i) loop.post([&, i] { order.push_back(i); });
+  // submit() waits out everything posted before it; from the loop thread
+  // it runs at once (queued, it would wait on itself).
+  const int inner = loop.submit([&] {
+                          EXPECT_TRUE(loop.in_loop());
+                          return loop.submit([] { return 7; }).get();
+                        })
+                        .get();
+  EXPECT_EQ(inner, 7);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_FALSE(loop.in_loop());
+}
+
+TEST(NodeLoop, CancelOnTheLoopThreadIsExact) {
+  // Both timers fall due in the same pass; the first cancels the second,
+  // which must then not run although it was already due.
+  NodeLoop loop;
+  TimerToken second{};  // loop thread only
+  std::atomic<bool> first_fired{false}, second_fired{false};
+  loop.submit([&] {
+        loop.schedule(1'000'000, [&] {
+          loop.cancel(second);
+          first_fired = true;
+        });
+        second = loop.schedule(1'000'000, [&] { second_fired = true; });
+        // Hold the loop until both deadlines have passed.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      })
+      .get();
+  for (int i = 0; i < 200 && !first_fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  loop.stop();
+  EXPECT_TRUE(first_fired.load());
+  EXPECT_FALSE(second_fired.load());
+}
+
+TEST(NodeLoop, InputReadySeesPostedWorkAndDueTimers) {
+  NodeLoop loop;
+  const auto [idle, posted] = loop.submit([&] {
+                                    const bool before = loop.input_ready();
+                                    loop.post([] {});
+                                    return std::pair{before,
+                                                     loop.input_ready()};
+                                  })
+                                  .get();
+  EXPECT_FALSE(idle);
+  EXPECT_TRUE(posted);
+  const bool timer_due = loop.submit([&] {
+                               loop.schedule(0, [] {});
+                               return loop.input_ready();
+                             })
+                             .get();
+  EXPECT_TRUE(timer_due);
+}
+
+TEST(NodeLoop, StopRunsWhatWasPostedThenRefusesPosts) {
+  NodeLoop loop;
+  std::atomic<int> ran{0};
+  loop.post([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ++ran;
+  });
+  loop.post([&] { ++ran; });
+  loop.stop();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_FALSE(loop.post([&] { ++ran; }));
+  // Once stopped, submit runs on the caller's thread.
+  EXPECT_EQ(loop.submit([] { return std::this_thread::get_id(); }).get(),
+            std::this_thread::get_id());
 }
 
 }  // namespace

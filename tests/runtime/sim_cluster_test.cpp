@@ -343,6 +343,36 @@ TEST(SimCluster, TimeoutThrows) {
   EXPECT_THROW(cluster.run(stuck, {}), std::runtime_error);
 }
 
+TEST(SimCluster, StallDumpNamesEveryWorkerAndTheClearinghouse) {
+  // Worker 1 carries the root, and every datagram it sends the
+  // Clearinghouse is lost: it never registers, so the job cannot finish.
+  // The error must say where each node is.
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/8);
+  SimJobConfig cfg = small_config(3);
+  cfg.max_sim_time = 2 * sim::kSecond;
+  SimCluster cluster(reg, cfg);
+  net::FaultPlan plan;
+  net::LinkRule cut;
+  cut.src = net::NodeId{1};
+  cut.dst = net::NodeId{0};
+  cut.drop = 1.0;
+  plan.links.push_back(cut);
+  cluster.apply_fault_plan(plan);
+  try {
+    cluster.run(root, {Value(std::int64_t{18})});
+    FAIL() << "the job finished without its root worker";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    for (const char* part :
+         {"max_sim_time", "n1: registering", "n2: active", "n3: active",
+          "clearinghouse n0: primary view=1 epoch=3 participants=[n2 n3] "
+          "ledger=[]"}) {
+      EXPECT_NE(what.find(part), std::string::npos) << part << "\n" << what;
+    }
+  }
+}
+
 TEST(SimCluster, SlowNetworkStillCorrect) {
   TaskRegistry reg;
   const TaskId root = apps::register_pfold(reg, 6);

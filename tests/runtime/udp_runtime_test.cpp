@@ -71,13 +71,18 @@ TEST(UdpRuntime, RunByName) {
 }
 
 TEST(UdpRuntime, SurvivesControlMessageLoss) {
-  // Injected loss on every channel: steal RPCs, registration, and the result
-  // retransmit; argument datagrams stay local because there is one worker.
+  // Injected loss on the worker's channel: registration, membership
+  // refreshes and the result retransmit; argument datagrams stay local
+  // because there is one worker.
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/30);
   UdpJobConfig cfg = config_for(1);
-  cfg.net.drop_probability = 0.25;
-  cfg.net.seed = 99;
+  net::FaultPlan plan;
+  plan.seed = 99;
+  net::LinkRule lossy;
+  lossy.drop = 0.25;
+  plan.links.push_back(lossy);
+  cfg.fault_plan = plan;
   UdpJob job(reg, cfg);
   const auto result = job.run(root, {Value(std::int64_t{24})});
   EXPECT_EQ(result.value.as_int(), apps::fib_serial(24));
@@ -109,21 +114,28 @@ TEST(UdpRuntime, StatsShapeMatchesPaper) {
 }
 
 TEST(UdpRuntime, TracedEventCountsMatchWorkerStats) {
-  // One thread per worker writes its trace shard (the node's core and its
-  // RpcNode alike), so the rings see every event exactly once.
+  // Each node's loop is the only producer of its trace shard (a worker's
+  // core and RpcNode alike, and the Clearinghouse's RpcNode on shard 0),
+  // so the rings see every event exactly once.  The job (~3,000 tasks,
+  // ~50 ms on 4 workers) outlasts a thief's wait for a CPU on a loaded
+  // host, so stealing is certain: a thief's first steal leaves ~0.2 ms
+  // after its registration.
   TaskRegistry reg;
-  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/15);
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/24);
   obs::Tracer tracer;
   UdpJobConfig cfg = config_for(4);
   cfg.tracer = &tracer;
   UdpJob job(reg, cfg);
-  const auto result = job.run(root, {Value(std::int64_t{30})});
-  EXPECT_EQ(result.value.as_int(), apps::fib_serial(30));
+  const auto result = job.run(root, {Value(std::int64_t{38})});
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(38));
   ASSERT_EQ(tracer.total_dropped(), 0u);
   std::map<obs::EventType, std::uint64_t> counts;
+  std::uint64_t clearinghouse_rpc = 0;
   for (const obs::TraceEvent& e : tracer.collect()) {
     ++counts[static_cast<obs::EventType>(e.type)];
+    if (e.worker == 0) ++clearinghouse_rpc;
   }
+  EXPECT_GT(clearinghouse_rpc, 0u) << "the Clearinghouse's shard is empty";
   const WorkerStats& agg = result.aggregate;
   EXPECT_EQ(counts[obs::EventType::kExecute], agg.tasks_executed);
   EXPECT_EQ(counts[obs::EventType::kStealServed], agg.tasks_stolen_from_me);
@@ -133,7 +145,7 @@ TEST(UdpRuntime, TracedEventCountsMatchWorkerStats) {
 
 TEST(UdpRuntime, WatchdogReportsEachWorkersProtocolState) {
   // A job that cannot finish in time must say where it is: one line per
-  // worker, asked of the worker's own thread.
+  // worker and one for the Clearinghouse, each asked of the node's loop.
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/40);
   UdpJobConfig cfg = config_for(2);
@@ -148,6 +160,8 @@ TEST(UdpRuntime, WatchdogReportsEachWorkersProtocolState) {
     EXPECT_NE(what.find("n1: "), std::string::npos) << what;
     EXPECT_NE(what.find("n2: "), std::string::npos) << what;
     EXPECT_NE(what.find("steal_ledger="), std::string::npos) << what;
+    EXPECT_NE(what.find("clearinghouse n0: primary"), std::string::npos)
+        << what;
   }
 }
 
@@ -183,14 +197,13 @@ TEST(UdpWorkerTeardown, DestroyWhileCallsToHaltedClearinghousePend) {
   cfg.rpc_policy.timeout_ns = 30'000'000'000;  // outlasts the test
   cfg.rpc_policy.adaptive = false;
   net::UdpNetwork network(cfg.net);
-  net::ThreadTimerService timers;
   const net::NodeId ch_node{0};
-  net::RpcNode ch_rpc(network.channel(ch_node), timers);
-  Clearinghouse clearinghouse(ch_rpc, timers, cfg.clearinghouse);
-  clearinghouse.start();
+  UdpClearinghouse clearinghouse(network, ch_node, cfg.clearinghouse,
+                                 /*jitter_seed=*/0);
+  clearinghouse.run([](Clearinghouse& ch) { ch.start(); });
   auto worker = std::make_unique<UdpWorker>(
-      network, timers, reg, net::NodeId{1},
-      std::vector<net::NodeId>{ch_node}, cfg, /*seed=*/1);
+      network, reg, net::NodeId{1}, std::vector<net::NodeId>{ch_node}, cfg,
+      /*seed=*/1);
   worker->start();
   // A failed steal means registration is done and the loop is running.
   const auto deadline =
@@ -199,7 +212,7 @@ TEST(UdpWorkerTeardown, DestroyWhileCallsToHaltedClearinghousePend) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "never registered";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  clearinghouse.halt();
+  clearinghouse.run([](Clearinghouse& ch) { ch.halt(); });
   const std::uint64_t before = worker->stats_snapshot().failed_steals;
   while (worker->stats_snapshot().failed_steals < before + 5) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
